@@ -2,8 +2,8 @@
 
 Samples long repricing grids from a few canonical market presets (plus
 a deliberately spiky stress market) with the scalar reference kernel
-(:func:`repro.market.generator._sample_grid_reference`, one Python step
-per grid point — the seed implementation) and with the event-level
+(``tests/oracles/market_generator.py``, one Python step per grid point
+— the seed implementation) and with the event-level
 sampler the generator now uses, asserts the two are byte-identical
 under a shared seed, and reports the step throughput of both.
 """
@@ -14,12 +14,9 @@ import time
 
 import numpy as np
 
-from repro.market.generator import (
-    RegimeSwitchingGenerator,
-    SpotMarketParams,
-    _sample_grid_reference,
-)
+from repro.market.generator import RegimeSwitchingGenerator, SpotMarketParams
 from repro.market.presets import market_params
+from tests.oracles.market_generator import sample_grid_reference
 
 #: (label, params) markets exercised by the benchmark.  The presets are
 #: the experiments' own calm/spiky calibrations; the stress market keeps
@@ -54,7 +51,7 @@ def run(quick: bool = False) -> dict:
         t0 = time.perf_counter()
         vec = gen._sample_grid(n)
         t1 = time.perf_counter()
-        ref = _sample_grid_reference(params, np.random.default_rng(_SEED + i), n)
+        ref = sample_grid_reference(params, np.random.default_rng(_SEED + i), n)
         t2 = time.perf_counter()
         assert vec.tobytes() == ref.tobytes(), (
             f"event-level sampler diverged from scalar reference ({label})"

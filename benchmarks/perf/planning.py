@@ -56,9 +56,9 @@ def _plan_all(
 ):
     """Plan every case; returns (plans, seconds, combos).
 
-    ``cached`` switches the per-bid failure-model memoisation, the
-    shared group-table cache and the one-shot grid evaluation on or off
-    together (the seed path predates all three).  ``art_dir`` points
+    ``cached`` switches the per-bid failure-model memoisation and the
+    shared group-table cache on or off together (the seed path predates
+    both; the one-shot grid evaluation is the planner's only path).  ``art_dir`` points
     the artifact store at a benchmark-private directory — ``None``
     disables the disk tier entirely, so no run ever touches the user's
     real cache.  Failure models are shared across plans exactly as
@@ -68,7 +68,6 @@ def _plan_all(
     """
     config = env.config.with_(
         table_cache=cached,
-        grid_eval=cached,
         artifact_cache=art_dir is not None,
         artifact_dir=art_dir,
     )

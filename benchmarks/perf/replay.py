@@ -1,9 +1,10 @@
 """Monte-Carlo replay throughput benchmark (replays per second).
 
 Replays the planned decisions of a few (app, deadline) cases from many
-starting points with the scalar per-start loop (the seed path) and with
-the batched replay, asserts the results match bit-for-bit, and reports
-the throughput of both.  Single-shot and persistent request semantics
+starting points with the scalar per-start loop (the seed path, kept as
+the parity oracle ``tests/oracles/scalar_replay.py``) and with the
+batched replay, asserts the results match bit-for-bit, and reports the
+throughput of both.  Single-shot and persistent request semantics
 are timed separately: the persistent kernel iterates relaunch rounds
 level-by-level, so its speedup profile differs from the single-shot
 path and gets its own ``persistent_replays_per_s`` metric.
@@ -15,8 +16,8 @@ import time
 
 from repro.execution.batch_replay import replay_batch
 from repro.execution.montecarlo import sample_start_times
-from repro.execution.replay import replay_decision
 from repro.experiments.env import ExperimentEnv
+from tests.oracles.scalar_replay import replay_decision
 
 _CASES = [("BT", 1.5), ("LU", 1.05), ("IS", 1.5)]
 

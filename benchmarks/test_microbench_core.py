@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core.problem import Decision, GroupDecision
-from repro.execution.replay import replay_decision
 from repro.experiments.env import LOOSE_DEADLINE_FACTOR
 from repro.market.failure import FailureModel
 from repro.market.history import MarketKey
 from repro.mpi.timing import estimate_execution_hours
+from tests.oracles.scalar_replay import replay_decision
 
 
 @pytest.fixture(scope="module")

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="read/parse thread-pool size (default: cpu count, max 8)",
+        help="file-read thread-pool size (default: cpu count, max 8)",
     )
     parser.add_argument(
         "--fix", action="store_true",

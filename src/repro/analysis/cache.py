@@ -6,10 +6,8 @@ keyed by *content*, never by mtime:
 * **file-scope findings** (rules with ``uses_project=False``) replay
   whenever that one file's hash is unchanged;
 * **project-scope findings** (graph rules and ``uses_project`` rules)
-  replay only when the *whole* fingerprint — every linted file's hash
-  plus every out-of-tree dependency a rule read through
-  ``ctx.read_project_file`` (e.g. R004's parity-test source) — is
-  unchanged.  Any edit anywhere re-runs them all, which is the sound
+  replay only when the *whole* fingerprint — every linted file's hash —
+  is unchanged.  Any edit anywhere re-runs them all, which is the sound
   choice: a one-line signature change can move findings in any file.
 
 The cache additionally keys on an **engine fingerprint**: a hash of the
@@ -79,7 +77,6 @@ class LintCache:
         self.path = Path(path)
         self.fingerprint: str = ""
         self.project_fp: str = ""
-        self.deps: Dict[str, Optional[str]] = {}
         self.files: Dict[str, dict] = {}
         #: Third tier: SCC content key → serialized function summaries
         #: (:mod:`.summaries`).  Keys hash member sources plus callee
@@ -102,7 +99,6 @@ class LintCache:
             return cache
         cache.fingerprint = doc.get("fingerprint", "")
         cache.project_fp = doc.get("project_fingerprint", "")
-        cache.deps = dict(doc.get("deps", {}))
         cache.files = dict(doc.get("files", {}))
         cache.summaries = dict(doc.get("summaries", {}))
         cache.loaded = True
@@ -112,7 +108,6 @@ class LintCache:
         self,
         fingerprint: str,
         project_fp: str,
-        deps: Dict[str, Optional[str]],
         files: Dict[str, dict],
         summaries: Optional[Dict[str, list]] = None,
     ) -> None:
@@ -121,7 +116,6 @@ class LintCache:
             "version": CACHE_VERSION,
             "fingerprint": fingerprint,
             "project_fingerprint": project_fp,
-            "deps": deps,
             "files": files,
             "summaries": summaries if summaries is not None else {},
         }
@@ -139,19 +133,6 @@ class LintCache:
         if entry and entry.get("hash") == file_hash:
             return entry
         return None
-
-    def deps_unchanged(self, root: Path) -> bool:
-        """Fail-open: a dependency that vanishes between the ``is_file``
-        probe and the read counts as changed (cold run), not a crash."""
-        for relpath, recorded in self.deps.items():
-            p = root / relpath
-            try:
-                current = content_hash(p.read_bytes()) if p.is_file() else None
-            except OSError:
-                return False
-            if current != recorded:
-                return False
-        return True
 
 
 def encode_findings(findings: List[Finding]) -> List[dict]:

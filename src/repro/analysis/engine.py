@@ -1,4 +1,4 @@
-"""Lint driver: discovery, parallel parsing, caching, rule dispatch.
+"""Lint driver: discovery, parsing, caching, rule dispatch.
 
 The engine is deliberately import-free of the hot simulation paths — it
 touches only ``ast``, ``pathlib``, ``concurrent.futures`` and the
@@ -9,12 +9,11 @@ A run has four phases:
 
 1. **Read + hash** every discovered file (thread pool — this is I/O).
 2. **Cache gate** — with a cache attached and *nothing* changed (same
-   engine fingerprint, same file set and hashes, same out-of-tree
-   dependencies), every finding replays from the cache and no parsing
-   happens at all.  Otherwise:
-3. **Parse** all files (thread pool), build the
-   :class:`~.project.ProjectGraph` when any selected rule needs it, and
-   dispatch: file-scope rules run per module (replaying per-file from
+   engine fingerprint, same file set and hashes), every finding replays
+   from the cache and no parsing happens at all.  Otherwise:
+3. **Parse** all files (serially — ``ast.parse`` holds the GIL), build
+   the :class:`~.project.ProjectGraph` when any selected rule needs it,
+   and dispatch: file-scope rules run per module (replaying per-file from
    the cache when that file's hash is unchanged), project-scope rules
    run once over the graph.
 4. **Reconcile** against the baseline (:mod:`.baseline`).
@@ -91,39 +90,16 @@ class ModuleUnit:
 
 @dataclass
 class LintContext:
-    """Shared state rules may consult (root, file cache, project graph)."""
+    """Shared state rules may consult (root, parsed units, project graph)."""
 
     root: Path
     project: Optional["object"] = None  # ProjectGraph when a rule needs it
     escape: Optional["object"] = None  # EscapeAnalysis when a rule needs it
     summaries: Optional["object"] = None  # SummaryIndex when a rule needs it
     units: Dict[str, ModuleUnit] = field(default_factory=dict)  # by relpath
-    _file_cache: Dict[str, Optional[str]] = field(default_factory=dict)
-
-    def read_project_file(self, relpath: str) -> Optional[str]:
-        """Text of ``root/relpath``, or None when absent (cached).
-
-        Every file read this way is recorded as an out-of-tree cache
-        dependency: project-scope findings replay only while its
-        content is unchanged.
-        """
-        if relpath not in self._file_cache:
-            p = self.root / relpath
-            self._file_cache[relpath] = (
-                p.read_text(encoding="utf-8") if p.is_file() else None
-            )
-        return self._file_cache[relpath]
 
     def unit_for(self, relpath: str) -> Optional[ModuleUnit]:
         return self.units.get(relpath)
-
-    def dep_hashes(self) -> Dict[str, Optional[str]]:
-        from .cache import content_hash
-
-        return {
-            rel: (content_hash(text.encode("utf-8")) if text is not None else None)
-            for rel, text in self._file_cache.items()
-        }
 
 
 @dataclass
@@ -243,8 +219,8 @@ def run_lint(
     """Lint ``paths`` and reconcile findings against ``baseline``.
 
     ``cache_path`` attaches the incremental cache (:mod:`.cache`);
-    ``jobs`` bounds the read/parse thread pool (default: cpu count,
-    capped at 8).  ``cache_write=False`` replays from a warm cache but
+    ``jobs`` bounds the file-read thread pool (default: cpu count,
+    capped at 8); parsing is serial.  ``cache_write=False`` replays from a warm cache but
     never persists the run — used by ``--changed``, whose partial view
     must not overwrite a whole-tree snapshot.
 
@@ -296,7 +272,6 @@ def run_lint(
         and cache.project_fp == proj_fp
         and set(cache.files) == set(hashes)
         and all(cache.files[r].get("hash") == h for r, h in hashes.items())
-        and cache.deps_unchanged(root)
     ):
         raw: List[Finding] = []
         for entry in cache.files.values():
@@ -308,7 +283,7 @@ def run_lint(
         )
 
     # ------------------------------------------------------------------
-    # parse (parallel), build graph, dispatch rules
+    # parse, build graph, dispatch rules
     # ------------------------------------------------------------------
     parse_errors: Dict[str, Finding] = {}
 
@@ -330,11 +305,11 @@ def run_lint(
             )
             return None
 
-    if jobs <= 1 or len(reads) < 4:
-        units = [parse_one(item) for item in reads]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            units = list(pool.map(parse_one, reads))
+    # Serial on purpose: ast.parse holds the GIL (threads buy nothing),
+    # and CPython 3.11's AST constructor keeps recursion-depth state
+    # that concurrent parses corrupt ("AST constructor recursion depth
+    # mismatch").
+    units = [parse_one(item) for item in reads]
     units = [u for u in units if u is not None]
 
     ctx = LintContext(root=root, units={u.relpath: u for u in units})
@@ -437,7 +412,6 @@ def run_lint(
         cache.save(
             fingerprint,
             proj_fp,
-            ctx.dep_hashes(),
             {
                 relpath: {
                     "hash": entry["hash"],

@@ -155,7 +155,7 @@ class ProjectGraph:
 
         Includes the sinks themselves; computed by reverse BFS over the
         call graph, so a helper that *indirectly* funnels into a sink
-        (``replay_decision → observe_result → audit_run_result``) is
+        (``replay_batch → observe_result → audit_run_result``) is
         covered without any per-rule traversal code.
         """
         out: Set[FuncKey] = set()

@@ -38,9 +38,8 @@ class Rule:
       ``"project"`` rules run once per lint via :meth:`check_project`
       and see the whole :class:`~.project.ProjectGraph`.
     * ``uses_project`` — a *file*-scope rule that consults the graph
-      (or sibling files through ``ctx.read_project_file``) sets this so
-      the incremental cache re-runs it when *any* file changes, not
-      just its own.  Project-scope rules imply it.
+      sets this so the incremental cache re-runs it when *any* file
+      changes, not just its own.  Project-scope rules imply it.
     * ``needs_escape`` — the rule additionally consumes the escape
       analysis (:mod:`.escape`): the engine builds ``ctx.escape`` on
       top of the graph only when some selected rule asks for it.

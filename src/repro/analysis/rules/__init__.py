@@ -8,7 +8,6 @@ from . import (  # noqa: F401
     r001_randomness,
     r002_caches,
     r003_units,
-    r004_parity,
     r005_float_eq,
     r006_exceptions,
     r007_ledger_audit,

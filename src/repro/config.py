@@ -78,14 +78,6 @@ class SompiConfig:
         accumulate.  ``None`` (default) means the store only grows;
         ``repro artifacts --evict`` / ``--clear`` manage it manually.
         Eviction only changes what is cached, never any result.
-    grid_eval:
-        Evaluate each subset's (bid x interval) candidate grid with the
-        one-shot vectorized evaluator (:mod:`repro.core.grid_eval`)
-        instead of the scalar per-combo loop.  The two paths are
-        bit-identical by construction (the grid evaluator is a
-        KERNEL_ORACLES kernel with exact-parity tests against the
-        scalar oracle); this flag exists for A/B benchmarking and as a
-        fallback switch.
     audit:
         Assert the :mod:`repro.obs` conservation invariants on every
         result an executor built with this config produces (DESIGN.md
@@ -111,7 +103,6 @@ class SompiConfig:
     artifact_cache: bool = True
     artifact_dir: str | None = None
     artifact_max_bytes: int | None = None
-    grid_eval: bool = True
     audit: bool = False
 
     def __post_init__(self) -> None:

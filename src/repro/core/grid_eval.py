@@ -27,11 +27,10 @@ in the same order, elementwise.  Concretely:
   comparison against the running best, first winner kept.
 
 ``KERNEL_ORACLES`` declares the scalar reference of every public
-function (reprolint R004) and ``tests/test_batch_parity.py`` pins exact
-equality on representative and adversarial grids.  Everything here is a
-pure function of its arguments: no caches, no config reads — gating by
-``config.grid_eval`` happens at the call sites in :mod:`.two_level` and
-:mod:`.subset`.
+function and ``tests/test_batch_parity.py`` pins exact equality on
+representative and adversarial grids.  These kernels are the planner's
+only path; the scalar references are parity oracles.  Everything here
+is a pure function of its arguments: no caches, no config reads.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from .interval import _interval_candidates, young_interval
 from .problem import CircleGroupSpec, OnDemandOption
 from .ratio import _COMPLETE_ATOL
 
-#: Scalar reference for every public kernel (reprolint R004): the
-#: vectorized function must be bit-identical to the dotted scalar path,
-#: verified by tests/test_batch_parity.py.
+#: Scalar reference for every public kernel: the vectorized function
+#: must be bit-identical to the dotted scalar path, verified by
+#: tests/test_batch_parity.py (coverage: tests/test_kernel_oracles.py).
 KERNEL_ORACLES = {
     "bid_matrix_rows": "repro.core.bid_search.log_bid_candidates",
     "outcome_grid": "repro.core.cost_model.GroupOutcome.from_pmf",

@@ -47,20 +47,16 @@ def _precomputed_bounds(
     optimizer: TwoLevelOptimizer,
     subsets: Sequence[Tuple[int, ...]],
     objective: str,
-) -> Optional[Dict[Tuple[int, ...], float]]:
+) -> Dict[Tuple[int, ...], float]:
     """Admissible bounds for every candidate subset in one array program.
 
-    With ``config.grid_eval`` the traversal's per-subset bound
-    derivation (a Python generator expression per subset) collapses
-    into one :func:`repro.core.grid_eval.subset_bounds` call per subset
-    size.  The per-group floors and the accumulation order are the
-    scalar ``_subset_bound``'s, so every bound — and therefore every
-    incumbent pruning decision — is bit-identical.  Returns ``None``
-    when the one-shot path is disabled (the scalar bound is derived
-    inside ``optimize_subset`` as before).
+    The traversal's per-subset bounds come from one
+    :func:`repro.core.grid_eval.subset_bounds` call per subset size.
+    The per-group floors and the accumulation order are the scalar
+    ``TwoLevelOptimizer._subset_bound``'s (its parity oracle), so every
+    bound — and therefore every incumbent pruning decision — is
+    bit-identical to deriving it subset by subset.
     """
-    if not optimizer.config.grid_eval:
-        return None
     subsets = list(subsets)
     if not subsets:
         return {}
@@ -120,7 +116,7 @@ def exhaustive_subset_search(
             objective=objective,
             budget=budget,
             prune_above=None if best is None else score(best),
-            bound=None if bounds is None else bounds[subset],
+            bound=bounds[subset],
         )
         if result is None:
             continue
@@ -166,7 +162,7 @@ def greedy_subset_search(
                 objective=objective,
                 budget=budget,
                 prune_above=None if round_best is None else score(round_best),
-                bound=None if bounds is None else bounds[subset],
+                bound=bounds[subset],
             )
             if result is None:
                 continue

@@ -57,9 +57,7 @@ from ..errors import ConfigurationError
 from ..market.failure import FailureModel
 from ..market.history import MarketKey
 from . import grid_eval
-from .bid_search import log_bid_candidates
 from .cost_model import Expectation, GroupOutcome, evaluate
-from .interval import optimal_interval
 from .keys import hash_key
 from .problem import Decision, GroupDecision, OnDemandOption, Problem
 
@@ -338,32 +336,18 @@ class TwoLevelOptimizer:
         )
 
     def _build_entry(
-        self, fm: FailureModel, spec, token: str, bids: Optional[np.ndarray]
+        self, fm: FailureModel, spec, token: str, bids: np.ndarray
     ) -> _RawGroupEntry:
         """Compute one group's table from scratch (both cache tiers missed)."""
         step = self.config.time_step_hours
-        if bids is None:
-            bids = log_bid_candidates(
-                fm.max_price(), self.config.bid_levels,
-                floor_price=fm.min_price(),
-            )
         intervals = np.empty(bids.size)
         outcomes: list[GroupOutcome] = []
         wall_max = 0.0
         for b, bid in enumerate(bids):
             if not self.config.checkpointing:
                 interval = spec.exec_time  # w/o-CK ablation: no checkpoints
-            elif self.config.grid_eval:
-                interval = grid_eval.optimal_interval_grid(
-                    spec,
-                    float(bid),
-                    fm,
-                    self.ondemand,
-                    step_hours=step,
-                    refine=self.config.interval_refine,
-                )
             else:
-                interval = optimal_interval(
+                interval = grid_eval.optimal_interval_grid(
                     spec,
                     float(bid),
                     fm,
@@ -434,17 +418,15 @@ class TwoLevelOptimizer:
                 missing = [i for i, _ in specs if i not in entries]
 
         if missing:
-            bid_rows = None
-            if cfg.grid_eval:
-                bid_rows = grid_eval.bid_matrix_rows(
-                    [self._models[i].max_price() for i in missing],
-                    cfg.bid_levels,
-                    [self._models[i].min_price() for i in missing],
-                )
+            bid_rows = grid_eval.bid_matrix_rows(
+                [self._models[i].max_price() for i in missing],
+                cfg.bid_levels,
+                [self._models[i].min_price() for i in missing],
+            )
             for j, i in enumerate(missing):
                 entry = self._build_entry(
                     self._models[i], self.problem.groups[i], tokens[i],
-                    None if bid_rows is None else bid_rows[j],
+                    bid_rows[j],
                 )
                 entries[i] = entry
                 if i in per_model:

@@ -12,14 +12,15 @@ hybrid semantics of Section 3.1.1:
 
 :mod:`~repro.execution.replay` walks one decision through the actual
 trace (the paper's "replaying the trace from the spot market"
-methodology, Section 5.1); :mod:`~repro.execution.montecarlo` repeats
-replays from random starting points to estimate expected cost and time;
-:mod:`~repro.execution.adaptive` implements Algorithm 1 (windowed
-re-optimization with refreshed failure models).
+methodology, Section 5.1) on the batched engine of
+:mod:`~repro.execution.batch_replay`; :mod:`~repro.execution.montecarlo`
+repeats replays from random starting points to estimate expected cost
+and time; :mod:`~repro.execution.adaptive` implements Algorithm 1
+(windowed re-optimization with refreshed failure models).
 """
 
 from .results import GroupRunRecord, RunResult, MonteCarloSummary
-from .replay import replay_decision, replay_window, WindowOutcome
+from .replay import replay_decision, WindowOutcome
 from .montecarlo import evaluate_decision_mc
 from .adaptive import AdaptiveExecutor, AdaptiveResult, WindowRecord
 
@@ -28,7 +29,6 @@ __all__ = [
     "RunResult",
     "MonteCarloSummary",
     "replay_decision",
-    "replay_window",
     "WindowOutcome",
     "evaluate_decision_mc",
     "AdaptiveExecutor",

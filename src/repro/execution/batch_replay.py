@@ -1,10 +1,9 @@
-"""Vectorised trace replay over many starting points.
+"""Vectorised trace replay over many starting points: the replay engine.
 
-:func:`repro.execution.replay.replay_decision` drives one replay with
-scalar trace scans (``first_at_or_below`` / ``first_exceedance`` walk a
-boolean suffix per call).  Monte-Carlo evaluation replays the *same
-decision* from hundreds of starting points, so here the per-(trace, bid)
-next-launch / next-death segment indices are precomputed once (and
+Every replay — one start (:func:`repro.execution.replay.replay_decision`)
+or a Monte-Carlo batch — runs here.  Monte-Carlo evaluation replays the
+*same decision* from hundreds of starting points, so the per-(trace,
+bid) next-launch / next-death segment indices are precomputed once (and
 served from the shared cache in :mod:`.kernels`) and every start is
 resolved with a ``searchsorted`` — all launches, deaths, progress
 computations and the completion cut-back pass become array operations
@@ -17,14 +16,16 @@ advances every still-active sample one launch/death/progress step as
 array operations, so the Python iteration count is the maximum number of
 relaunches of any sample, not the number of samples.
 
-The arithmetic mirrors the scalar replay operation-for-operation (same
-IEEE ops in the same order; each run window's bill is evaluated with the
-very same :func:`billed_spot_cost` call), so the results — including the
-per-group records, hourly billing, checkpoint-storage accounting and the
-cost ledger — are bit-identical to a sequential loop of
-``replay_decision`` calls.  :func:`replay_window_batch` exposes the same
-kernels over per-element windows and per-sample remaining work for the
-adaptive executor.  See DESIGN.md §8 for the kernel-layer contract.
+The arithmetic mirrors the scalar replay it replaced operation for
+operation (same IEEE ops in the same order; each run window's bill is
+evaluated with the very same :func:`billed_spot_cost` call), so the
+results — including the per-group records, hourly billing,
+checkpoint-storage accounting and the cost ledger — are bit-identical
+to a sequential per-start walk.  That scalar engine survives as the
+parity oracle ``tests/oracles/scalar_replay.py``.
+:func:`replay_window_batch` exposes the same kernels over per-element
+windows and per-sample remaining work for the adaptive executor.  See
+DESIGN.md §8 for the kernel-layer contract.
 """
 
 from __future__ import annotations
@@ -56,11 +57,12 @@ from .replay import (
 )
 from .results import GroupRunRecord, RunResult
 
-#: Scalar reference for every public kernel (reprolint R004); parity is
-#: asserted bit-exactly in tests/test_batch_parity.py.
+#: Scalar reference for every public kernel; parity is asserted
+#: bit-exactly in tests/test_batch_parity.py (coverage:
+#: tests/test_kernel_oracles.py).
 KERNEL_ORACLES = {
-    "replay_window_batch": "repro.execution.replay.replay_window",
-    "replay_batch": "repro.execution.replay.replay_decision",
+    "replay_window_batch": "tests.oracles.scalar_replay.replay_window",
+    "replay_batch": "tests.oracles.scalar_replay.replay_decision",
 }
 
 
@@ -119,8 +121,9 @@ def _run_group_batch(
     work: Optional[np.ndarray] = None,
     billing: BillingPolicy = CONTINUOUS,
 ) -> _GroupBatch:
-    """Array version of ``replay._run_group_in_window`` (single-shot)
-    over per-element windows ``[t0, t1)``.
+    """Array version of the scalar single-shot group walk
+    (``tests/oracles/scalar_replay.py``) over per-element windows
+    ``[t0, t1)``.
 
     ``work`` optionally carries per-element remaining work (all > 0, the
     adaptive path); without it every element owes the group's full work
@@ -208,7 +211,7 @@ def _run_group_persistent_batch(
     work: Optional[np.ndarray] = None,
     billing: BillingPolicy = CONTINUOUS,
 ) -> _GroupBatch:
-    """Array version of ``replay._run_group_persistent``.
+    """Array version of the scalar persistent group walk.
 
     The scalar drives one sample through its relaunch rounds with a
     ``while`` loop; here each iteration advances *every* still-active
@@ -380,16 +383,21 @@ def replay_window_batch(
     billing: BillingPolicy = CONTINUOUS,
     table_cache: bool = True,
 ) -> list[WindowOutcome]:
-    """Batched :func:`repro.execution.replay.replay_window` over
-    per-element windows ``[t0_i, t1_i)``.
+    """Run the decision's groups over per-element windows
+    ``[t0_i, t1_i)``.
+
+    If a group completes, every other group is cut back to the
+    completion instant (it would be terminated then) and recomputed.
+    ``persistent`` switches the per-group spot semantics (see
+    :data:`repro.execution.replay.SEMANTICS`).
 
     ``works`` optionally carries per-sample remaining work, shaped
     ``(n_groups, n_samples)`` — the adaptive executor's batched step,
     where sample *i*'s scaled sub-problem owes ``works[g, i]`` hours of
     group *g* (``fraction_done`` is folded into ``works`` by the caller,
     so the outcome's ``gained_fraction`` is relative to ``works``).
-    Outcomes are bit-identical to per-sample ``replay_window`` calls on
-    the correspondingly scaled problems.
+    Outcomes are bit-identical to the scalar oracle's per-sample
+    ``replay_window`` calls on the correspondingly scaled problems.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
@@ -431,8 +439,8 @@ def replay_window_batch(
         for g, ctx in enumerate(ctxs)
     ]
 
-    # Completion cut-back (replay_window's second pass): every other
-    # group is clipped to the first completion instant and recomputed.
+    # Completion cut-back (second pass): every other group is clipped
+    # to the first completion instant and recomputed.
     comp_end = np.where(
         np.stack([r.completed for r in runs]),
         np.stack([r.end for r in runs]),
@@ -447,7 +455,7 @@ def replay_window_batch(
             # The winner completed *at* t_done — its first-pass record is
             # already clipped correctly, and recomputing against the
             # completion horizon can only degrade it at float edges, so
-            # (like replay_window) only the losing groups are recomputed.
+            # only the losing groups are recomputed.
             idx = rerun[winner[rerun] != g]
             if idx.size == 0:
                 continue
@@ -512,10 +520,10 @@ def replay_batch(
     account_storage: bool = False,
     table_cache: bool = True,
 ) -> list[RunResult]:
-    """Replay ``decision`` from every start in ``starts``; equivalent to
-    ``[replay_decision(problem, decision, history, t, horizon=horizon,
-    semantics=semantics, billing=billing, account_storage=account_storage)
-    for t in starts]`` with the trace scans batched across starts."""
+    """Replay ``decision`` from every start in ``starts`` (the semantics
+    of :func:`repro.execution.replay.replay_decision`, per start), with
+    the trace scans batched across starts.  A decision without spot
+    groups is a full on-demand run from each start."""
     if semantics not in SEMANTICS:
         raise ConfigurationError(
             f"unknown semantics {semantics!r}; known: {SEMANTICS}"

@@ -37,10 +37,10 @@ import numpy as np
 from ..core.two_level import register_cache_clearer
 from ..errors import TraceError
 
-#: Scalar reference for every public kernel (reprolint R004): each entry
-#: pairs a vectorized function with the dotted path of the scalar code
-#: it must be bit-identical to, and the name must be exercised by
-#: tests/test_batch_parity.py.
+#: Scalar reference for every public kernel: each entry pairs a
+#: vectorized function with the dotted path of the scalar code it must
+#: be bit-identical to, and the name must be exercised by
+#: tests/test_batch_parity.py (coverage: tests/test_kernel_oracles.py).
 KERNEL_ORACLES = {
     "trace_tables": "repro.cloud.spot.first_at_or_below",
     "integrate_price_fast": "repro.cloud.spot.integrate_price",
@@ -171,7 +171,6 @@ def _evict_trace(trace_id: int) -> None:
         del _TABLE_CACHE[key]
 
 
-# reprolint: disable=R004 -- cache plumbing, not a vectorized kernel
 def clear_table_cache() -> None:
     """Drop every cached (trace, bid) table (tests, memory pressure)."""
     _TABLE_CACHE.clear()
@@ -183,7 +182,6 @@ def clear_table_cache() -> None:
 register_cache_clearer(clear_table_cache)
 
 
-# reprolint: disable=R004 -- cache introspection, not a vectorized kernel
 def table_cache_size() -> int:
     return len(_TABLE_CACHE)
 

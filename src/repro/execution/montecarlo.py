@@ -6,14 +6,15 @@ simulation [many] times and calculate the expected cost."  Replays are
 independent given the starting points, which are drawn uniformly from
 the part of the history that leaves room for the replay horizon.
 
-Execution strategy: every spot-using replay — single-shot *and*
-persistent, either billing policy, with or without storage accounting —
-is batched through :mod:`.batch_replay` (bit-identical to the scalar
-loop, see that module); only pure on-demand decisions take the trivial
-scalar path.  Both accept ``jobs`` to fan the pre-drawn starting points
-out over worker processes — the starts are drawn *before* chunking and
-the chunk results are concatenated in order, so the output is
-byte-identical to a serial run regardless of ``jobs``.
+Execution strategy: every replay — single-shot *and* persistent,
+either billing policy, with or without storage accounting, pure
+on-demand decisions included — is batched through :mod:`.batch_replay`
+(bit-identical to the scalar parity oracle, see that module).
+:func:`evaluate_decision_mc` and :func:`replay_many` accept ``jobs``
+to fan the pre-drawn starting points out over worker processes — the
+starts are drawn *before* chunking and the chunk results are
+concatenated in order, so the output is byte-identical to a serial run
+regardless of ``jobs``.
 
 The fan-out goes through the persistent shared :class:`~.pool.
 WorkerPool` (DESIGN.md §12): the executor is spawned once per process
@@ -34,7 +35,7 @@ from ..core.problem import Decision, Problem
 from ..errors import ConfigurationError, TraceError
 from ..market.history import SpotPriceHistory
 from .batch_replay import replay_batch
-from .replay import decision_horizon, replay_decision
+from .replay import decision_horizon
 from .results import MonteCarloSummary, RunResult
 from .shm_pool import SharedHistoryHandle, attach_history, shared_trace_handle
 
@@ -101,20 +102,11 @@ def _replay_chunk(
 ) -> list[RunResult]:
     """Replay one chunk of starting points (module-level so worker
     processes can import it)."""
-    if decision.groups:
-        return replay_batch(
-            problem, decision, history, starts, horizon=horizon,
-            semantics=semantics, billing=billing,
-            account_storage=account_storage,
-        )
-    return [
-        replay_decision(
-            problem, decision, history, float(t), horizon=horizon,
-            semantics=semantics, billing=billing,
-            account_storage=account_storage,
-        )
-        for t in starts
-    ]
+    return replay_batch(
+        problem, decision, history, starts, horizon=horizon,
+        semantics=semantics, billing=billing,
+        account_storage=account_storage,
+    )
 
 
 def _replay_chunk_shm(

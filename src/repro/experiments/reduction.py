@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.bid_search import log_bid_candidates, uniform_bid_candidates
 from ..core.cost_model import GroupOutcome, evaluate
-from ..core.interval import optimal_interval
+from ..core.grid_eval import optimal_interval_grid
 from ..core.ondemand_select import select_ondemand_relaxed
 from .common import ExperimentResult
 from .env import ExperimentEnv, LOOSE_DEADLINE_FACTOR
@@ -79,7 +79,7 @@ def run(env: ExperimentEnv, app_name: str = "BT") -> ExperimentResult:
             bids = candidate_fn(fm)
             outcomes = []
             for bid in bids:
-                interval = optimal_interval(spec, float(bid), fm, ondemand)
+                interval = optimal_interval_grid(spec, float(bid), fm, ondemand)
                 outcomes.append(GroupOutcome.build(spec, float(bid), interval, fm))
             per_group.append(outcomes)
         best = np.inf

@@ -33,11 +33,11 @@ from .history import MarketKey, SpotPriceHistory
 from .presets import market_params
 from .trace import SpotPriceTrace
 
-#: Scalar reference for every public function (reprolint R004).  The
-#: surge sampler and the overlay are checked against interleaved scalar
-#: re-derivations in tests/test_batch_parity.py; the history builder is
-#: re-derived market-by-market from the scalar generator plus serial
-#: overlays under the same derived seeds.
+#: Scalar reference for every public function.  The surge sampler and
+#: the overlay are checked against interleaved scalar re-derivations in
+#: tests/test_batch_parity.py; the history builder is re-derived
+#: market-by-market from the scalar generator plus serial overlays
+#: under the same derived seeds.
 KERNEL_ORACLES = {
     "sample_surges": "tests.test_batch_parity.TestCorrelatedParity.test_sample_surges_matches_scalar_reference",
     "overlay_price_floor": "tests.test_batch_parity.TestCorrelatedParity.test_overlay_floor_matches_scalar_reference",

@@ -140,11 +140,12 @@ class RegimeSwitchingGenerator:
         (the vast majority of the grid — calm steps without a change,
         and spike plateaus) are filled by array assignment, and Python
         only touches the O(event-count) change points.  Byte-identical
-        to :func:`_sample_grid_reference` under the same seed: the RNG
-        draws are the same five arrays in the same order, and every
-        price update applies the same float operations in the same
-        order — only the per-step bookkeeping of untouched steps is
-        replaced by slice fills.
+        to the one-step-per-point scalar walk it replaced (kept as the
+        parity oracle ``tests/oracles/market_generator.py``) under the
+        same seed: the RNG draws are the same five arrays in the same
+        order, and every price update applies the same float operations
+        in the same order — only the per-step bookkeeping of untouched
+        steps is replaced by slice fills.
         """
         p = self.params
         rng = self.rng
@@ -215,54 +216,6 @@ class RegimeSwitchingGenerator:
             prices[e] = max(PRICE_FLOOR, price)
             k = e + 1
         return prices
-
-
-def _sample_grid_reference(params: SpotMarketParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Scalar reference kernel for :meth:`RegimeSwitchingGenerator._sample_grid`.
-
-    One Python step per grid point, exactly as originally written.  Kept
-    as the bit-identity oracle for the event-level implementation: parity
-    tests and the market benchmark compare the two byte-for-byte under a
-    shared RNG state.
-    """
-    p = params
-    dt = p.repricing_interval
-
-    prices = np.empty(n)
-    price = p.base_price * float(rng.uniform(0.9, 1.1))
-    in_spike = False
-    spike_left = 0.0
-    spike_price = price
-
-    p_spike = min(1.0, p.spike_rate * dt)
-    p_change = min(1.0, p.calm_change_rate * dt)
-
-    u_spike = rng.random(n)
-    u_change = rng.random(n)
-    normals = rng.standard_normal(n)
-    spike_mags = p.spike_magnitude * np.exp(p.spike_sigma * rng.standard_normal(n))
-    spike_durs = rng.exponential(p.spike_duration_mean, size=n)
-
-    for k in range(n):
-        if in_spike:
-            spike_left -= dt
-            if spike_left <= 0.0:
-                in_spike = False
-                price = p.base_price * (1.0 + p.calm_volatility * normals[k])
-            else:
-                price = spike_price
-        else:
-            if u_spike[k] < p_spike:
-                in_spike = True
-                spike_left = max(dt, spike_durs[k])
-                spike_price = p.base_price * max(1.5, spike_mags[k])
-                price = spike_price
-            elif u_change[k] < p_change:
-                price = price * (1.0 + p.calm_volatility * normals[k])
-                # Mean-revert gently so calm prices stay near base.
-                price = 0.9 * price + 0.1 * p.base_price
-        prices[k] = max(PRICE_FLOOR, price)
-    return prices
 
 
 def generate_market(

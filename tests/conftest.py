@@ -16,6 +16,7 @@ from repro.cloud.instance_types import get_instance_type
 from repro.cloud.zones import Zone
 from repro.config import SompiConfig
 from repro.core.problem import CircleGroupSpec, OnDemandOption, Problem
+from repro.execution.batch_replay import replay_window_batch
 from repro.experiments.env import ExperimentEnv
 from repro.market.history import MarketKey
 from repro.market.trace import SpotPriceTrace
@@ -83,6 +84,20 @@ def make_group(
         checkpoint_overhead=overhead,
         recovery_overhead=recovery,
     )
+
+
+def replay_one_window(problem, decision, history, t0, t1, works=None, **kw):
+    """One window ``[t0, t1)`` through the batched window kernel.
+
+    ``works`` is the per-group remaining work (hours), for windows of a
+    partially done run; the default is each group's full work.
+    """
+    if works is not None:
+        works = np.asarray(works, dtype=float).reshape(-1, 1)
+    return replay_window_batch(
+        problem, decision, history, np.array([t0]), np.array([t1]),
+        works=works, **kw,
+    )[0]
 
 
 @pytest.fixture

@@ -1,0 +1,7 @@
+"""Scalar reference implementations kept only as parity oracles.
+
+Production code never imports from here (``tests/test_src_imports.py``
+guards that); the vectorised kernels in ``src/repro`` are the only
+production path, and the parity tests compare them against these
+sequential originals bit for bit.
+"""

@@ -199,8 +199,6 @@ class TestPlannerLifecycle:
         for overrides in (
             dict(table_cache=False),
             dict(artifact_cache=False),
-            dict(grid_eval=False),
-            dict(grid_eval=False, table_cache=False),
         ):
             clear_shared_caches()
             got = _plan(history, tmp_path / "alt", problem, **overrides)

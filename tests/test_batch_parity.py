@@ -5,6 +5,8 @@ path — single-shot and persistent spot semantics, hourly billing,
 checkpoint-storage accounting, the adaptive executor's window batching,
 and the event-level trace sampler — performs the identical IEEE
 operations in the identical order as the scalar code it replaced.
+The scalar side is the sequential original, kept as a test-only
+oracle under ``tests/oracles``.
 These tests drive both sides on spiky generated markets and demand
 *exact* float equality (no tolerances anywhere), across multiple seeds
 and both billing policies, with the audit invariants switched on.
@@ -36,17 +38,14 @@ from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.batch_replay import replay_batch, replay_window_batch
 from repro.execution.kernels import table_cache_size
 from repro.execution.montecarlo import sample_start_times
-from repro.execution.replay import replay_decision, replay_window
 from repro.market.failure import FailureModel
-from repro.market.generator import (
-    RegimeSwitchingGenerator,
-    SpotMarketParams,
-    _sample_grid_reference,
-)
+from repro.market.generator import RegimeSwitchingGenerator, SpotMarketParams
 from repro.market.history import MarketKey, SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
 from repro.units import BYTES_PER_GB
 from tests.conftest import make_group
+from tests.oracles.market_generator import sample_grid_reference
+from tests.oracles.scalar_replay import replay_decision, replay_window
 
 SEEDS = (3, 17, 91)
 
@@ -203,7 +202,7 @@ class TestGeneratorParity:
             vec = RegimeSwitchingGenerator(
                 params, np.random.default_rng(seed)
             )._sample_grid(n)
-            ref = _sample_grid_reference(
+            ref = sample_grid_reference(
                 params, np.random.default_rng(seed), n
             )
             assert vec.tobytes() == ref.tobytes()
@@ -299,9 +298,9 @@ class TestTableCache:
 class TestKernelOracleParity:
     """Each KERNEL_ORACLES entry exercised directly against its scalar.
 
-    These are the function-level parity checks reprolint R004 demands:
-    every vectorized kernel is driven side by side with the scalar
-    reference it declares, with exact float equality.
+    These are the function-level parity checks tests/test_kernel_oracles.py
+    demands: every vectorized kernel is driven side by side with the
+    scalar reference it declares, with exact float equality.
     """
 
     def _trace(self, seed, duration=120.0):

@@ -5,14 +5,10 @@ import pytest
 from repro.cloud.instance_types import get_instance_type
 from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
 from repro.errors import ConfigurationError
-from repro.execution.replay import (
-    decision_horizon,
-    replay_decision,
-    replay_window,
-)
+from repro.execution.replay import decision_horizon, replay_decision
 from repro.market.history import MarketKey, SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
-from tests.conftest import make_group
+from tests.conftest import make_group, replay_one_window
 
 
 def history_for(problem, traces):
@@ -160,7 +156,7 @@ class TestWindow:
         problem = one_group_problem
         decision = Decision(groups=(GroupDecision(0, 0.10, 2.0),), ondemand_index=0)
         h = history_for(problem, [flat()])
-        out = replay_window(problem, decision, h, 0.0, 3.0)
+        out = replay_one_window(problem, decision, h, 0.0, 3.0)
         assert not out.completed
         rec = out.records[0]
         # wall 3.0: 2h work + 0.5 ckpt + 0.5 work = 2.5 productive; the
@@ -174,8 +170,8 @@ class TestWindow:
         problem = one_group_problem
         decision = Decision(groups=(GroupDecision(0, 0.10, 6.0),), ondemand_index=0)
         h = history_for(problem, [flat()])
-        out = replay_window(problem, decision, h, 0.0, 10.0, fraction_done=0.5)
-        # remaining work 3h, no failures -> completes at t=3
+        # half the 6h run done: 3h remaining, no failures -> completes at t=3
+        out = replay_one_window(problem, decision, h, 0.0, 10.0, works=[3.0])
         assert out.completed
         assert out.completion_time == pytest.approx(3.0)
 
@@ -184,7 +180,7 @@ class TestWindow:
         trace = SpotPriceTrace([0.0, 3.0], [0.05, 0.9], 400.0)
         decision = Decision(groups=(GroupDecision(0, 0.10, 2.0),), ondemand_index=0)
         h = history_for(problem, [trace])
-        out = replay_window(problem, decision, h, 0.0, 10.0)
+        out = replay_one_window(problem, decision, h, 0.0, 10.0)
         rec = out.records[0]
         assert rec.terminated
         assert rec.saved == pytest.approx(2.0)  # not the 2.5 productive
@@ -195,14 +191,15 @@ class TestWindow:
         decision = Decision(groups=(GroupDecision(0, 0.1, 2.0),), ondemand_index=0)
         h = history_for(problem, [flat()])
         with pytest.raises(ConfigurationError):
-            replay_window(problem, decision, h, 5.0, 5.0)
+            replay_one_window(problem, decision, h, 5.0, 5.0)
 
     def test_bad_fraction_rejected(self, one_group_problem):
         problem = one_group_problem
         decision = Decision(groups=(GroupDecision(0, 0.1, 2.0),), ondemand_index=0)
         h = history_for(problem, [flat()])
+        # 150% of the 6h run already done leaves -3h of work.
         with pytest.raises(ConfigurationError):
-            replay_window(problem, decision, h, 0.0, 1.0, fraction_done=1.5)
+            replay_one_window(problem, decision, h, 0.0, 1.0, works=[-3.0])
 
 
 class TestHorizon:

@@ -20,11 +20,11 @@ from repro.core.problem import (
 )
 from repro.errors import TraceError
 from repro.execution.adaptive import AdaptiveExecutor
-from repro.execution.replay import replay_decision, replay_window
+from repro.execution.replay import replay_decision
 from repro.market.failure import FailureModel
 from repro.market.history import SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
-from tests.conftest import make_group
+from tests.conftest import make_group, replay_one_window
 
 
 def problem_with(trace, **group_kw):
@@ -97,7 +97,7 @@ class TestHostileMarkets:
         )
         d = Decision(groups=(GroupDecision(0, 0.1, 2.0),), ondemand_index=0)
         with pytest.raises(TraceError):
-            replay_window(problem, d, h, 0.0, 50.0)
+            replay_one_window(problem, d, h, 0.0, 50.0)
 
     def test_zero_price_market(self):
         """A free market (price floor 0 is allowed by the trace type)."""

@@ -26,14 +26,14 @@ from repro.execution.replay import (
     checkpoint_storage_cost,
     checkpoint_write_times,
     replay_decision,
-    replay_window,
 )
 from repro.execution.results import MonteCarloSummary
 from repro.market.history import SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
 from repro.obs.metrics import Metrics
 from repro.units import BYTES_PER_GB
-from tests.conftest import make_group
+from tests.conftest import make_group, replay_one_window
+from tests.oracles import scalar_replay
 
 
 def flat_setup(exec_time=6.0, image_gb=0.0, price=0.05):
@@ -118,9 +118,9 @@ class TestMetrics:
 
     def test_library_increments_global_registry(self):
         problem, h = flat_setup()
-        before = obs.get_metrics().get("replay.scalar_runs")
+        before = obs.get_metrics().get("replay.batch_starts")
         replay_decision(problem, ONE_GROUP, h, 0.0)
-        assert obs.get_metrics().get("replay.scalar_runs") == before + 1
+        assert obs.get_metrics().get("replay.batch_starts") == before + 1
 
 
 class TestEventTrace:
@@ -204,7 +204,8 @@ class TestEventStream:
         starts = np.array([0.0, 0.5, 1.0, 2.5, 4.0])
         with obs.tracing() as ta:
             scalar = [
-                replay_decision(problem, ONE_GROUP, h, float(t)) for t in starts
+                scalar_replay.replay_decision(problem, ONE_GROUP, h, float(t))
+                for t in starts
             ]
         with obs.tracing() as tb:
             batched = replay_batch(problem, ONE_GROUP, h, starts)
@@ -261,7 +262,7 @@ class TestWinnerRestore:
         """Satellite 3: after the completion-clipped rerun the winning
         group's first-pass record must be restored intact."""
         problem, h = race_setup()
-        outcome = replay_window(problem, TWO_GROUPS, h, 0.0, 30.0)
+        outcome = replay_one_window(problem, TWO_GROUPS, h, 0.0, 30.0)
         assert outcome.completed
         winner = [
             i
@@ -408,7 +409,8 @@ class TestBillingEdges:
         starts = np.array([0.0, 1.0, 2.5, 5.0, 8.0])
         with obs.audited():
             scalar = [
-                replay_decision(problem, ONE_GROUP, h, float(t)) for t in starts
+                scalar_replay.replay_decision(problem, ONE_GROUP, h, float(t))
+                for t in starts
             ]
             batched = replay_batch(problem, ONE_GROUP, h, starts)
         for a, b in zip(scalar, batched):

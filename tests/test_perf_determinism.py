@@ -6,7 +6,8 @@ the seed implementation paths.  These tests hold that claim down:
 
 * cached vs cache-disabled planning → identical plans,
 * pruned vs unpruned subset search → identical winner and counts,
-* batched vs scalar replay → identical RunResults field by field,
+* batched replay vs the scalar oracle → identical RunResults field by
+  field,
 * `jobs` > 1 vs serial Monte-Carlo → identical summaries,
 * observability (tracing + audit) on vs off → identical RunResults.
 """
@@ -26,6 +27,7 @@ from repro.execution.montecarlo import (
 )
 from repro.execution.replay import replay_decision
 from repro.experiments.env import ExperimentEnv
+from tests.oracles import scalar_replay
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +107,9 @@ class TestBatchedReplayIdentical:
             env.rng.fresh("det-batch"), t_min=env.train_end,
         )
         scalar = [
-            replay_decision(problem, plan.decision, env.history, float(t))
+            scalar_replay.replay_decision(
+                problem, plan.decision, env.history, float(t)
+            )
             for t in starts
         ]
         batched = replay_batch(problem, plan.decision, env.history, starts)

@@ -357,128 +357,6 @@ class TestR003Units:
 
 
 # ----------------------------------------------------------------------
-# R004 — kernel/oracle pairing
-# ----------------------------------------------------------------------
-PARITY_STUB = """
-def test_fast_sum_matches_scalar():
-    from repro.execution.kernels import fast_sum
-"""
-
-
-class TestR004KernelOracles:
-    KERNEL_PATH = "src/repro/execution/kernels.py"
-
-    def test_missing_kernel_oracles_dict(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "def fast_sum(xs):\n    return sum(xs)\n",
-            relpath=self.KERNEL_PATH,
-            select=["R004"],
-            extra_files={"tests/test_batch_parity.py": PARITY_STUB},
-        )
-        assert rule_ids(result) == ["R004"]
-        assert "KERNEL_ORACLES" in result.findings[0].message
-
-    def test_unmapped_public_function_flagged(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            """
-            KERNEL_ORACLES = {"fast_sum": "repro.core.math.slow_sum"}
-
-            def fast_sum(xs):
-                return sum(xs)
-
-            def fast_prod(xs):
-                return 1
-            """,
-            relpath=self.KERNEL_PATH,
-            select=["R004"],
-            extra_files={"tests/test_batch_parity.py": PARITY_STUB},
-        )
-        assert rule_ids(result) == ["R004"]
-        assert "fast_prod" in result.findings[0].message
-
-    def test_missing_parity_test_flagged(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            """
-            KERNEL_ORACLES = {"fast_other": "repro.core.math.slow_other"}
-
-            def fast_other(xs):
-                return xs
-            """,
-            relpath=self.KERNEL_PATH,
-            select=["R004"],
-            extra_files={"tests/test_batch_parity.py": PARITY_STUB},
-        )
-        assert rule_ids(result) == ["R004"]
-        assert "parity test" in result.findings[0].message
-
-    def test_stale_oracle_entry_flagged(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            """
-            KERNEL_ORACLES = {"fast_sum": "repro.core.math.slow_sum",
-                              "gone": "repro.core.math.slow_gone"}
-
-            def fast_sum(xs):
-                return sum(xs)
-            """,
-            relpath=self.KERNEL_PATH,
-            select=["R004"],
-            extra_files={"tests/test_batch_parity.py": PARITY_STUB},
-        )
-        assert rule_ids(result) == ["R004"]
-        assert "gone" in result.findings[0].message
-
-    def test_paired_kernel_is_clean(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            """
-            KERNEL_ORACLES = {"fast_sum": "repro.core.math.slow_sum"}
-
-            def fast_sum(xs):
-                return sum(xs)
-
-            def _helper(xs):
-                return xs
-            """,
-            relpath=self.KERNEL_PATH,
-            select=["R004"],
-            extra_files={"tests/test_batch_parity.py": PARITY_STUB},
-        )
-        assert result.findings == []
-
-    def test_non_kernel_module_ignored(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "def anything(xs):\n    return xs\n",
-            relpath="src/repro/execution/replay.py",
-            select=["R004"],
-        )
-        assert result.findings == []
-
-    def test_suppressed_cache_helper(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            """
-            KERNEL_ORACLES = {"fast_sum": "repro.core.math.slow_sum"}
-
-            def fast_sum(xs):
-                return sum(xs)
-
-            # reprolint: disable=R004 -- cache plumbing
-            def cache_size():
-                return 0
-            """,
-            relpath=self.KERNEL_PATH,
-            select=["R004"],
-            extra_files={"tests/test_batch_parity.py": PARITY_STUB},
-        )
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # R005 — float equality
 # ----------------------------------------------------------------------
 class TestR005FloatEquality:
@@ -712,7 +590,7 @@ class TestFramework:
     def test_every_rule_registered_with_description(self):
         rules = get_rules()
         assert [r.id for r in rules] == [
-            "R001", "R002", "R003", "R004", "R005", "R006",
+            "R001", "R002", "R003", "R005", "R006",
             "R007", "R008", "R009", "R010", "R011", "R012", "R013",
             "R014", "R015", "R016",
         ]
@@ -748,7 +626,7 @@ class TestCli:
     def test_list_rules(self, tmp_path):
         proc = self.run_cli("--list-rules", cwd=tmp_path)
         assert proc.returncode == 0
-        for rid in ("R001", "R002", "R003", "R004", "R005", "R006"):
+        for rid in ("R001", "R002", "R003", "R005", "R006"):
             assert rid in proc.stdout
 
 
