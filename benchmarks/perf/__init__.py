@@ -7,8 +7,9 @@ perf trajectory is tracked across PRs:
 
 * :mod:`.planning` → ``BENCH_planning.json`` — failure-model fitting,
   per-group table construction, the two-level subset search, and one
-  full quick experiment, timed on the seed (cache-off) path, the cold
-  cache-on path (the guarded one), and the warm cache-on path.
+  full quick experiment, timed from an empty store (cold boot), from a
+  warm store with memory cleared (cold disk, the guarded one), and
+  fully warm.
 * :mod:`.replay` → ``BENCH_replay.json`` — Monte-Carlo replay
   throughput (replays/sec), scalar loop vs batched replay, for both
   single-shot and persistent request semantics.

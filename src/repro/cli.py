@@ -176,11 +176,12 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 def _warm_artifacts(args: argparse.Namespace, root: Path) -> None:
     """Pre-populate the store: plan every requested (app, deadline) cell.
 
-    Planning writes every disk artifact a later run would want — packed
-    search sidecar, group tables, trace/bid index tables — keyed by
-    trace content + engine fingerprint, so any later process over the
-    same history (CI test shards, benches, experiment runs) starts
-    disk-warm instead of recomputing them.
+    Planning writes the planner's disk artifacts — packed search
+    sidecar, group tables, survival grids — keyed by trace content +
+    engine fingerprint, so any later process over the same history (CI
+    test shards, benches, experiment runs) starts disk-warm instead of
+    recomputing them.  Trace/bid index tables are not among them:
+    planning never replays, so those are written by the first replay.
     """
     from .experiments.env import LOOSE_DEADLINE_FACTOR, TIGHT_DEADLINE_FACTOR
 

@@ -52,32 +52,16 @@ class SompiConfig:
         must additionally satisfy ``P(Time > Deadline) <= this`` under
         the model's joint outcome distribution (the paper only bounds
         the expectation).  ``None`` disables it.
-    table_cache:
-        Share the per-(market, spec, config) bid/interval/outcome tables
-        and subset score vectors across :class:`TwoLevelOptimizer`
-        instances (see DESIGN.md "Performance").  The caches are exact —
-        keyed by every input that enters the computation — so disabling
-        this only trades speed for memory; results are unchanged.
-    artifact_cache:
-        Persist those tables (and the kernels' per-(trace, bid) index
-        tables) to the on-disk artifact store
-        (:mod:`repro.execution.artifacts`), so a *cold process* warms
-        from disk instead of rebuilding.  Artifacts are keyed by trace
-        content hash + engine fingerprint and loads are fail-open, so
-        results are bit-identical with the store on, off, deleted or
-        corrupted.  Requires ``table_cache``; ignored without it.
     artifact_dir:
-        Root directory of the artifact store.  ``None`` (default)
-        resolves via the ``REPRO_ARTIFACT_DIR`` environment variable,
-        falling back to the user cache directory.
-    artifact_max_bytes:
-        Size cap of the artifact store in bytes.  When set (or when the
-        ``REPRO_ARTIFACT_MAX_BYTES`` environment variable, which wins,
-        is set), least-recently-used artifacts are evicted until the
-        store fits — on store open and periodically as writes
-        accumulate.  ``None`` (default) means the store only grows;
-        ``repro artifacts --evict`` / ``--clear`` manage it manually.
-        Eviction only changes what is cached, never any result.
+        Root directory of the on-disk artifact store
+        (:mod:`repro.execution.artifacts`), the disk tier under the
+        planner's always-on table caches.  ``None`` (default) resolves
+        via the ``REPRO_ARTIFACT_DIR`` environment variable (empty
+        disables the store), falling back to the user cache directory.
+        Artifacts are keyed by trace content hash + engine fingerprint
+        and loads are fail-open, so results are bit-identical with the
+        store warm, cold, off, deleted or corrupted.  The store's size
+        cap is the ``REPRO_ARTIFACT_MAX_BYTES`` environment variable.
     audit:
         Assert the :mod:`repro.obs` conservation invariants on every
         result an executor built with this config produces (DESIGN.md
@@ -99,10 +83,7 @@ class SompiConfig:
     interval_refine: bool = True
     checkpointing: bool = True
     max_miss_probability: float | None = None
-    table_cache: bool = True
-    artifact_cache: bool = True
     artifact_dir: str | None = None
-    artifact_max_bytes: int | None = None
     audit: bool = False
 
     def __post_init__(self) -> None:
@@ -120,11 +101,6 @@ class SompiConfig:
             )
         if self.max_miss_probability is not None:
             check_fraction("max_miss_probability", self.max_miss_probability)
-        if self.artifact_max_bytes is not None and self.artifact_max_bytes < 1:
-            raise ValueError(
-                f"artifact_max_bytes must be >= 1 or None, "
-                f"got {self.artifact_max_bytes}"
-            )
 
     def with_(self, **kwargs: Any) -> "SompiConfig":
         """Return a copy with the given fields replaced."""

@@ -81,18 +81,11 @@ def build_failure_models(
     problem: Problem,
     history: SpotPriceHistory,
     step_hours: float = 1.0,
-    cache: bool = True,
 ) -> dict[MarketKey, FailureModel]:
-    """One failure model per circle-group market, from the given history.
-
-    ``cache=False`` disables the models' per-bid memoisation (used by the
-    perf benchmarks to time the uncached path; results are identical).
-    """
+    """One failure model per circle-group market, from the given history."""
     with obs.get_metrics().timer("plan.build_models"):
         return {
-            spec.key: FailureModel(
-                history.get(spec.key), step_hours=step_hours, cache=cache
-            )
+            spec.key: FailureModel(history.get(spec.key), step_hours=step_hours)
             for spec in problem.groups
         }
 

@@ -29,18 +29,18 @@ re-evaluations are likewise memoised, and ``optimize_subset`` accepts an
 incumbent bound (``prune_above``) that lets the subset search skip
 combinations that provably cannot beat the best feasible cost found so
 far.  All caches are exact and every pruning bound is admissible, so
-results are bit-identical with the caches and pruning disabled.
+results are bit-identical whether the caches are cold or warm.
 
 Disk tier (DESIGN.md §10): every shared cache entry is keyed by a
 *content token* — a hash of the trace content plus every scalar that
-enters the computation — so keys survive process boundaries.  When
-``config.artifact_cache`` is on, the per-problem table bundle, the
-survival grids and the search sidecar (subset score vectors + exact
-re-evaluations) are persisted to the on-disk artifact store
-(:mod:`repro.execution.artifacts`): a cold process warms from disk
-instead of rebuilding.  Loads are fail-open and artifacts store the
-exact float64 arrays the build produced, so results are bit-identical
-with the store on, off, deleted or corrupted mid-run.
+enters the computation — so keys survive process boundaries.  The
+per-problem table bundle, the survival grids and the search sidecar
+(subset score vectors + exact re-evaluations) are persisted to the
+on-disk artifact store (:mod:`repro.execution.artifacts`) at
+``config.artifact_dir``: a cold process warms from disk instead of
+rebuilding.  Loads are fail-open and artifacts store the exact float64
+arrays the build produced, so results are bit-identical with the store
+on, off (``REPRO_ARTIFACT_DIR=""``), deleted or corrupted mid-run.
 """
 
 from __future__ import annotations
@@ -300,11 +300,9 @@ class TwoLevelOptimizer:
         self._sidecar_seen: set = set()
         self.combos_evaluated = 0
         self.subsets_pruned = 0
-        self._store = None
-        if config.table_cache and config.artifact_cache:
-            from ..execution.artifacts import get_store
+        from ..execution.artifacts import get_store
 
-            self._store = get_store(config)
+        self._store = get_store(config.artifact_dir)
 
     # ------------------------------------------------------------------
     # Precomputation
@@ -378,17 +376,9 @@ class TwoLevelOptimizer:
         specs = list(enumerate(self.problem.groups))
         tokens = [self._group_token(self._models[i], spec) for i, spec in specs]
         entries: dict[int, _RawGroupEntry] = {}
-        per_model: dict[int, dict] = {}
-        keys: dict[int, tuple] = {}
-        for i, spec in specs:
-            keys[i] = self._entry_key(spec)
-            if not cfg.table_cache:
-                continue
-            pm = _RAW_TABLE_CACHE.get(self._models[i])
-            if pm is None:
-                pm = {}
-                _RAW_TABLE_CACHE[self._models[i]] = pm
-            per_model[i] = pm
+        keys = {i: self._entry_key(spec) for i, spec in specs}
+        for i, _ in specs:
+            pm = _RAW_TABLE_CACHE.setdefault(self._models[i], {})
             entry = pm.get(keys[i])
             if entry is not None:
                 metrics.inc("cache.table_hits")
@@ -413,8 +403,7 @@ class TwoLevelOptimizer:
                     if entry is None:
                         break  # damaged schema: rebuild the rest below
                     entries[i] = entry
-                    if i in per_model:
-                        per_model[i][keys[i]] = entry
+                    _RAW_TABLE_CACHE[self._models[i]][keys[i]] = entry
                 missing = [i for i, _ in specs if i not in entries]
 
         if missing:
@@ -429,8 +418,7 @@ class TwoLevelOptimizer:
                     bid_rows[j],
                 )
                 entries[i] = entry
-                if i in per_model:
-                    per_model[i][keys[i]] = entry
+                _RAW_TABLE_CACHE[self._models[i]][keys[i]] = entry
             if bundle_key is not None:
                 arrays = {}
                 for i, _ in specs:
@@ -455,11 +443,10 @@ class TwoLevelOptimizer:
         self._wall_hi = wall_hi
 
         grids_map: dict[int, tuple] = {}
-        if self.config.table_cache:
-            for i, entry in entries.items():
-                cached = entry.grids.get(wall_hi)
-                if cached is not None:
-                    grids_map[i] = cached
+        for i, entry in entries.items():
+            cached = entry.grids.get(wall_hi)
+            if cached is not None:
+                grids_map[i] = cached
         missing = [i for i in entries if i not in grids_map]
         store = self._store
         grids_key = None
@@ -483,8 +470,7 @@ class TwoLevelOptimizer:
                 for i in missing:
                     grids = (arrays[f"g{i}_ratio"], arrays[f"g{i}_wall"])
                     grids_map[i] = grids
-                    if self.config.table_cache:
-                        entries[i].grids[wall_hi] = grids
+                    entries[i].grids[wall_hi] = grids
                 missing = []
 
         if missing:
@@ -497,8 +483,7 @@ class TwoLevelOptimizer:
                     surv_ratio[b] = _survival_rows(o.ratios, o.pmf, ratio_mid)
                     surv_wall[b] = _survival_rows(o.wall, o.pmf, wall_mid)
                 grids_map[i] = (surv_ratio, surv_wall)
-                if self.config.table_cache:
-                    entry.grids[wall_hi] = grids_map[i]
+                entry.grids[wall_hi] = grids_map[i]
             if grids_key is not None:
                 arrays = {}
                 for i in entries:
@@ -844,7 +829,7 @@ class TwoLevelOptimizer:
         to the traversal.
         """
         cache_key = None
-        if self.config.table_cache and total <= _MAX_BATCH:
+        if total <= _MAX_BATCH:
             cache_key = (tuple(t.token for t in tables), self._wall_hi)
             cached = _SUBSET_EVAL_CACHE.get(cache_key)
             if cached is not None:
@@ -864,10 +849,8 @@ class TwoLevelOptimizer:
             ):
                 # Applies to cacheable batches too (lazy fill): the
                 # cache entry simply stays unfilled until some caller
-                # actually needs the full score vectors.  Skipping the
-                # grid products here was previously disabled when the
-                # batch was cacheable, which made the *cold* cache-on
-                # path measurably slower than the cache-off seed path.
+                # actually needs the full score vectors, so a cold
+                # cache never pays for grid products a warm one skips.
                 continue
             surv_r = np.ones((batch.shape[0], _RATIO_GRID))
             prod_below_w = np.ones((batch.shape[0], _WALL_GRID))
@@ -894,8 +877,6 @@ class TwoLevelOptimizer:
         """Exact re-evaluation of one combination, memoised across
         optimizer instances (the Expectation depends only on the group
         outcomes and the on-demand option, both part of the key)."""
-        if not self.config.table_cache:
-            return evaluate(outcomes, self.ondemand)
         key = (
             tuple(t.token for t in tables),
             combo,

@@ -246,7 +246,6 @@ class AdaptiveExecutor:
                 outcomes = replay_window_batch(
                     self.problem, jobs[0].decision, self.history, t0, t1,
                     works=works, persistent=persistent, billing=self.billing,
-                    table_cache=self.config.table_cache,
                 )
                 # Phase 3 — account: thread each outcome through its
                 # sample's ledger/windows exactly as the scalar loop.

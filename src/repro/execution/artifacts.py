@@ -68,8 +68,10 @@ ARTIFACT_VERSION = 1
 #: the store entirely (useful to pin hermetic test runs).
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
-#: Environment override for the size cap (bytes); takes precedence over
-#: ``config.artifact_max_bytes``.  Empty means "no limit".
+#: Size cap of the store in bytes.  When set, least-recently-used
+#: artifacts are evicted until the store fits — on store open and
+#: periodically as writes accumulate.  Unset or empty means "no limit"
+#: (``repro artifacts --evict`` / ``--clear`` manage the store manually).
 ARTIFACT_MAX_BYTES_ENV = "REPRO_ARTIFACT_MAX_BYTES"
 
 #: Writes between periodic in-process eviction passes (when a size cap
@@ -136,32 +138,26 @@ def default_artifact_dir() -> Optional[Path]:
     return base / "repro-sompi" / "artifacts"
 
 
-def resolve_max_bytes(config=None) -> Optional[int]:
-    """The effective store size cap, or ``None`` for unlimited.
-
-    The ``REPRO_ARTIFACT_MAX_BYTES`` environment variable wins over
-    ``config.artifact_max_bytes``; an empty value means "no limit"
-    (mirroring the dir override's empty-means-disabled convention).
-    """
-    env = os.environ.get(ARTIFACT_MAX_BYTES_ENV)
-    if env is not None:
-        if not env.strip():
-            return None
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{ARTIFACT_MAX_BYTES_ENV} must be an integer byte count, "
-                f"got {env!r}"
-            ) from None
-        return value if value > 0 else None
-    return getattr(config, "artifact_max_bytes", None)
+def resolve_max_bytes() -> Optional[int]:
+    """The store size cap from ``REPRO_ARTIFACT_MAX_BYTES``, or ``None``
+    for unlimited (unset, empty or non-positive)."""
+    env = os.environ.get(ARTIFACT_MAX_BYTES_ENV, "")
+    if not env.strip():
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"{ARTIFACT_MAX_BYTES_ENV} must be an integer byte count, "
+            f"got {env!r}"
+        ) from None
+    return value if value > 0 else None
 
 
 class ArtifactStore:
     """A directory of content-addressed ``.npz`` artifacts.
 
-    ``max_bytes`` (set by :func:`get_store` from the config/environment)
+    ``max_bytes`` (set by :func:`get_store` from the environment)
     arms the LRU eviction policy: hits touch the artifact's mtime, and
     :meth:`evict` drops the least-recently-used files until the store
     fits.  Eviction runs when a store handle is first opened and every
@@ -292,9 +288,9 @@ class ArtifactStore:
     ) -> Tuple[int, int]:
         """Drop LRU artifacts until the store fits; ``(files, bytes)``.
 
-        ``max_bytes`` defaults to the configured cap (environment over
-        config); with neither a size nor an age bound the call is a
-        no-op.  Age is measured against ``now`` (epoch seconds; defaults
+        ``max_bytes`` defaults to the configured cap
+        (``REPRO_ARTIFACT_MAX_BYTES``); with neither a size nor an age
+        bound the call is a no-op.  Age is measured against ``now`` (epoch seconds; defaults
         to the wall clock) minus each file's last-touch mtime.  Every
         unlink is fail-open: a file another process already removed or
         holds open just stops counting.
@@ -370,33 +366,25 @@ class ArtifactStore:
         return True
 
 
-def get_store(config) -> Optional[ArtifactStore]:
-    """The store for this config, or ``None`` when disabled.
+def get_store(artifact_dir: Optional[str]) -> Optional[ArtifactStore]:
+    """The store rooted at ``artifact_dir``, or ``None`` when disabled.
 
-    Enabled iff ``config.table_cache`` *and* ``config.artifact_cache``
-    (artifacts are the disk tier of the table caches: no memory tier,
-    no disk tier) and a root directory resolves.  Store handles are
-    memoised per resolved path; :func:`clear_store_handles` (wired into
-    ``clear_shared_caches``) drops the handles — never the disk files —
-    so a "cold process" simulation still hits warm disk.
+    ``artifact_dir`` is ``config.artifact_dir``; a falsy value resolves
+    via :func:`default_artifact_dir`, which returns ``None`` — the disk
+    tier's only off-switch — when ``REPRO_ARTIFACT_DIR`` is set empty.
+    Store handles are memoised per resolved path;
+    :func:`clear_store_handles` (wired into ``clear_shared_caches``)
+    drops the handles — never the disk files — so a "cold process"
+    simulation still hits warm disk.
     """
-    if not (
-        getattr(config, "table_cache", False)
-        and getattr(config, "artifact_cache", False)
-    ):
-        return None
-    root = (
-        Path(config.artifact_dir)
-        if getattr(config, "artifact_dir", None)
-        else default_artifact_dir()
-    )
+    root = Path(artifact_dir) if artifact_dir else default_artifact_dir()
     if root is None:
         return None
     key = str(root)
     store = _STORE_MEMO.get(key)
     if store is None:
         store = _STORE_MEMO[key] = ArtifactStore(
-            root, max_bytes=resolve_max_bytes(config)
+            root, max_bytes=resolve_max_bytes()
         )
         # Apply the size policy once per opened handle (so a store left
         # over the cap by an older process shrinks on next use), then

@@ -82,7 +82,7 @@ class _GroupCtx:
     tables: object  # kernels.TraceBidTables
 
 
-def _group_ctx(spec, gd, trace, cache: bool = True) -> _GroupCtx:
+def _group_ctx(spec, gd, trace) -> _GroupCtx:
     work = spec.exec_time
     eff = min(gd.interval, work)
     return _GroupCtx(
@@ -95,7 +95,7 @@ def _group_ctx(spec, gd, trace, cache: bool = True) -> _GroupCtx:
         done_wall=total_wall(work, eff, spec.checkpoint_overhead),
         k_done=checkpoints_completed(work, work, eff),
         trace=trace,
-        tables=trace_tables(trace, gd.bid, cache=cache),
+        tables=trace_tables(trace, gd.bid),
     )
 
 
@@ -381,7 +381,6 @@ def replay_window_batch(
     works: Optional[np.ndarray] = None,
     persistent: bool = False,
     billing: BillingPolicy = CONTINUOUS,
-    table_cache: bool = True,
 ) -> list[WindowOutcome]:
     """Run the decision's groups over per-element windows
     ``[t0_i, t1_i)``.
@@ -427,7 +426,7 @@ def replay_window_batch(
                 f"t0={bad} outside trace window "
                 f"[{trace.start_time}, {trace.end_time})"
             )
-        ctxs.append(_group_ctx(spec, gd, trace, cache=table_cache))
+        ctxs.append(_group_ctx(spec, gd, trace))
 
     runner = _run_group_persistent_batch if persistent else _run_group_batch
     runs = [
@@ -518,7 +517,6 @@ def replay_batch(
     semantics: str = "single-shot",
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-    table_cache: bool = True,
 ) -> list[RunResult]:
     """Replay ``decision`` from every start in ``starts`` (the semantics
     of :func:`repro.execution.replay.replay_decision`, per start), with
@@ -576,7 +574,6 @@ def replay_batch(
     outcomes = replay_window_batch(
         problem, decision, history, starts, t1,
         persistent=(semantics == "persistent"), billing=billing,
-        table_cache=table_cache,
     )
 
     out = []

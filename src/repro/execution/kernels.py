@@ -11,8 +11,8 @@ here:
   of an O(n) suffix scan.  The planner and the Monte-Carlo evaluator
   replay the *same* (trace, bid) pairs thousands of times, so the tables
   are promoted into a shared cache alongside the planner's group-table
-  caches: gated by ``config.table_cache`` semantics (callers pass
-  ``cache=False`` to opt out), cleared by
+  caches: always on (the cache is exact, so a cold and a warm lookup
+  return identical tables), cleared by
   :func:`repro.core.two_level.clear_shared_caches`, and evicted
   automatically when the trace is garbage collected.
 
@@ -106,14 +106,13 @@ _STORE_MIN_SEGMENTS = 4096
 
 def _artifact_io(trace, bid: float):
     """(store, key) for this pair, or ``(None, None)`` when the disk
-    tier is off (no store configured, or the trace is too small to pay
-    for a round-trip)."""
+    tier is off (``REPRO_ARTIFACT_DIR=""``, or the trace is too small to
+    pay for a round-trip)."""
     if trace.prices.size < _STORE_MIN_SEGMENTS:
         return None, None
-    from ..config import DEFAULT_CONFIG
     from .artifacts import engine_fingerprint, get_store
 
-    store = get_store(DEFAULT_CONFIG)
+    store = get_store(None)
     if store is None:
         return None, None
     from ..core.keys import hash_key
@@ -186,18 +185,15 @@ def table_cache_size() -> int:
     return len(_TABLE_CACHE)
 
 
-def trace_tables(trace, bid: float, cache: bool = True) -> TraceBidTables:
+def trace_tables(trace, bid: float) -> TraceBidTables:
     """The (trace, bid) index tables, served from the shared cache.
 
     Two tiers: the in-process ``_TABLE_CACHE`` above, then (for traces
     with at least ``_STORE_MIN_SEGMENTS`` segments) the on-disk
     artifact store keyed by trace content + engine fingerprint, so a
-    cold process skips the build for big markets.  ``cache=False``
-    recomputes from scratch (the ``config.table_cache`` opt-out);
-    results are identical on every tier.
+    cold process skips the build for big markets.  Results are
+    identical on every tier, cold or warm.
     """
-    if not cache:
-        return _build_tables(trace, float(bid))
     key = (id(trace), float(bid))
     tables = _TABLE_CACHE.get(key)
     if tables is None:

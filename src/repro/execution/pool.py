@@ -79,12 +79,11 @@ def _warm_worker() -> None:
     simply pays retail.
     """
     try:
-        from ..config import DEFAULT_CONFIG
         from ..core import grid_eval, two_level  # noqa: F401  (import cost)
         from . import batch_replay, kernels  # noqa: F401  (import cost)
         from .artifacts import get_store
 
-        get_store(DEFAULT_CONFIG)
+        get_store(None)
         obs.get_metrics().inc("pool.worker_warmups")
     # reprolint: disable=R006 -- warming is optional pre-payment; a cold worker is still correct
     except Exception:

@@ -25,9 +25,9 @@ The same small set of log-bid candidates is queried over and over by
 :meth:`repro.core.cost_model.GroupOutcome.build` and every baseline, so
 the per-bid quantities (``steps_to_failure``, ``failure_pmf``,
 ``mttf_hours``, ``expected_price``) are memoised per instance.  Cached
-arrays are returned read-only; pass ``cache=False`` to recompute from
-scratch on every call (the determinism regression tests cross-validate
-the two modes).
+arrays are returned read-only.  The memo is exact, so a fresh instance
+(cold memo) and a long-lived one (warm memo) return identical values;
+the determinism regression tests cross-validate the two.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ class FailureModel:
         Treat the history as circular so every step is a usable starting
         point.  With ``False``, starting points whose horizon would run
         past the end of the trace are censored at the boundary.
-    cache:
-        Memoise the per-bid statistics (on by default).  The cache is
-        exact — it stores the very arrays the uncached path computes —
-        and lives with the instance, so it never needs invalidation: a
-        new trace means a new model.
+
+    The per-bid statistics are memoised on the instance.  The memo is
+    exact — it stores the very arrays the first call computes — and lives
+    with the instance, so it never needs invalidation: a new trace means
+    a new model.
     """
 
     def __init__(
@@ -70,13 +70,11 @@ class FailureModel:
         trace: SpotPriceTrace,
         step_hours: float = 1.0,
         circular: bool = True,
-        cache: bool = True,
     ) -> None:
         check_positive("step_hours", step_hours)
         self.trace = trace
         self.step_hours = float(step_hours)
         self.circular = bool(circular)
-        self.cache_enabled = bool(cache)
         self._stf_cache: dict[float, np.ndarray] = {}
         self._pmf_cache: dict[tuple[float, int], np.ndarray] = {}
         self._scalar_cache: dict[tuple[str, float], float] = {}
@@ -116,12 +114,11 @@ class FailureModel:
         :meth:`launch_probability`).
         """
         key = ("expected_price", float(bid))
-        if self.cache_enabled and key in self._scalar_cache:
+        if key in self._scalar_cache:
             return self._scalar_cache[key]
         mask = self._fine <= bid
         value = float(self._fine[mask].mean()) if mask.any() else float(bid)
-        if self.cache_enabled:
-            self._scalar_cache[key] = value
+        self._scalar_cache[key] = value
         return value
 
     def launch_probability(self, bid: float) -> float:
@@ -141,15 +138,14 @@ class FailureModel:
         step.  Entries for non-launchable starts (start price > bid) are
         set to ``-1``.
 
-        The result is memoised per bid (read-only when served from the
-        cache) — the optimizer asks for the same handful of log-bid
-        candidates thousands of times.
+        The result is memoised per bid and read-only — the optimizer
+        asks for the same handful of log-bid candidates thousands of
+        times.
         """
         cbid = float(bid)
-        if self.cache_enabled:
-            cached = self._stf_cache.get(cbid)
-            if cached is not None:
-                return cached
+        cached = self._stf_cache.get(cbid)
+        if cached is not None:
+            return cached
         n = self.n_steps
         exceed = self.step_max > bid
         if self.circular:
@@ -165,9 +161,8 @@ class FailureModel:
         dist = np.minimum(dist, n)
         out = dist.astype(np.int64)
         out[self.step_start > bid] = -1
-        if self.cache_enabled:
-            out.setflags(write=False)
-            self._stf_cache[cbid] = out
+        out.setflags(write=False)
+        self._stf_cache[cbid] = out
         return out
 
     def failure_pmf(self, bid: float, horizon_steps: int) -> np.ndarray:
@@ -187,10 +182,9 @@ class FailureModel:
                 f"horizon_steps must be >= 1, got {horizon_steps}"
             )
         key = (float(bid), int(horizon_steps))
-        if self.cache_enabled:
-            cached = self._pmf_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self._pmf_cache.get(key)
+        if cached is not None:
+            return cached
         dist = self.steps_to_failure(bid)
         launchable = dist >= 0
         pmf = np.zeros(horizon_steps + 1)
@@ -200,9 +194,8 @@ class FailureModel:
             d = np.minimum(dist[launchable], horizon_steps)
             counts = np.bincount(d, minlength=horizon_steps + 1)
             pmf[:] = counts / counts.sum()
-        if self.cache_enabled:
-            pmf.setflags(write=False)
-            self._pmf_cache[key] = pmf
+        pmf.setflags(write=False)
+        self._pmf_cache[key] = pmf
         return pmf
 
     def failure_pmf_sampled(
@@ -245,7 +238,7 @@ class FailureModel:
         ``0`` when the group cannot launch.
         """
         key = ("mttf", float(bid))
-        if self.cache_enabled and key in self._scalar_cache:
+        if key in self._scalar_cache:
             return self._scalar_cache[key]
         dist = self.steps_to_failure(bid)
         launchable = dist >= 0
@@ -257,8 +250,7 @@ class FailureModel:
                 value = float("inf")
             else:
                 value = float(d.mean() * self.step_hours)
-        if self.cache_enabled:
-            self._scalar_cache[key] = value
+        self._scalar_cache[key] = value
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

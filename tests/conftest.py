@@ -26,12 +26,12 @@ from repro.market.trace import SpotPriceTrace
 def _hermetic_artifact_dir(tmp_path_factory):
     """Point the artifact store at a per-run temp dir.
 
-    Without this, any test that plans with ``artifact_cache`` enabled
-    would read/write the developer's real ``~/.cache`` store, making
-    test outcomes depend on what was planned before.
+    Without this, any test that plans or replays would read/write the
+    developer's real ``~/.cache`` store, making test outcomes depend on
+    what was planned before.
 
     ``REPRO_TEST_ARTIFACT_DIR`` overrides the temp dir with a shared,
-    pre-warmed store (CI pre-warms one with ``repro artifacts warm``
+    pre-warmed store (CI pre-warms one with ``repro artifacts --warm``
     before the test shards, so every shard starts disk-warm).  Safe
     because artifacts are keyed by trace content + engine fingerprint
     and loads are fail-open: a warm store changes timings, never

@@ -1,9 +1,9 @@
 """Artifact-store lifecycle tests (DESIGN.md §10).
 
 Cold write → warm load bit-identity, content-hash invalidation,
-engine-fingerprint invalidation, corruption fail-open, and the config
-gating of the disk tier — at the store level and through the full
-planning pipeline.
+engine-fingerprint invalidation, corruption fail-open, and the disk
+tier's one off-switch (``REPRO_ARTIFACT_DIR=""``) — at the store level
+and through the full planning and replay pipeline.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.core.problem import OnDemandOption, Problem
 from repro.core.two_level import clear_shared_caches
 from repro.execution import artifacts, kernels
 from repro.execution.artifacts import ArtifactStore, get_store
+from repro.execution.batch_replay import replay_batch
+from repro.execution.montecarlo import sample_start_times
 from repro.market.history import SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
 from tests.conftest import make_group
@@ -52,14 +54,15 @@ def _problem_and_history(flat_price=0.04):
     return problem, history
 
 
-def _plan(history, tmp_root, problem=None, **overrides):
+def _plan(history, tmp_root, problem=None):
+    """Plan with the store at ``tmp_root``; ``None`` resolves the store
+    through ``REPRO_ARTIFACT_DIR`` (empty: disk tier off)."""
     if problem is None:
         problem, _ = _problem_and_history()
     cfg = SompiConfig(
         kappa=2,
         bid_levels=5,
-        artifact_dir=str(tmp_root),
-        **overrides,
+        artifact_dir=None if tmp_root is None else str(tmp_root),
     )
     return SompiOptimizer.from_history(problem, history, cfg).plan()
 
@@ -119,15 +122,15 @@ class TestStoreUnit:
 
 
 class TestStoreGating:
-    def test_disabled_without_either_cache_flag(self, tmp_path):
-        base = dict(artifact_dir=str(tmp_path))
-        assert get_store(SompiConfig(table_cache=False, **base)) is None
-        assert get_store(SompiConfig(artifact_cache=False, **base)) is None
-        assert get_store(SompiConfig(**base)) is not None
+    def test_explicit_dir_always_opens_a_store(self, tmp_path, monkeypatch):
+        assert get_store(str(tmp_path)) is not None
+        # The env off-switch only governs the default location.
+        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, "")
+        assert get_store(str(tmp_path)) is not None
 
     def test_empty_env_override_disables_default_dir(self, monkeypatch):
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, "")
-        assert get_store(SompiConfig()) is None
+        assert get_store(SompiConfig().artifact_dir) is None
 
 
 class TestPlannerLifecycle:
@@ -193,16 +196,22 @@ class TestPlannerLifecycle:
             with np.load(path, allow_pickle=False):
                 pass
 
-    def test_plan_invariant_under_cache_and_grid_config(self, tmp_path):
+    def test_plan_invariant_under_cache_and_grid_config(
+        self, tmp_path, monkeypatch
+    ):
+        """A fully cold plan (memory cleared, empty store) matches every
+        warmer state of the two tiers, and a run with the disk tier off."""
         problem, history = _problem_and_history()
         reference = _plan(history, tmp_path / "ref", problem)
-        for overrides in (
-            dict(table_cache=False),
-            dict(artifact_cache=False),
-        ):
-            clear_shared_caches()
-            got = _plan(history, tmp_path / "alt", problem, **overrides)
-            _assert_same_plan(reference, got)
+        # Memory and disk warm.
+        _assert_same_plan(reference, _plan(history, tmp_path / "ref", problem))
+        # Memory cold, disk warm.
+        clear_shared_caches()
+        _assert_same_plan(reference, _plan(history, tmp_path / "ref", problem))
+        # Memory cold, disk tier off.
+        clear_shared_caches()
+        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, "")
+        _assert_same_plan(reference, _plan(history, None, problem))
 
 
 class TestKernelTablesDiskTier:
@@ -229,6 +238,76 @@ class TestKernelTablesDiskTier:
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(tmp_path))
         kernels.trace_tables(SpotPriceTrace([0.0], [0.05], 10.0), 0.1)
         assert not list(tmp_path.rglob("*.npz"))
+
+
+class TestDiskOffSwitch:
+    """``REPRO_ARTIFACT_DIR=""`` turns off every disk tier at once: the
+    planner's bundles and sidecar, and the kernels' trace/bid tables."""
+
+    def _setup(self):
+        n = kernels._STORE_MIN_SEGMENTS
+        g1 = make_group(zone="us-east-1a", exec_time=8.0)
+        g2 = make_group(zone="us-east-1b", exec_time=8.0)
+        problem = Problem(
+            groups=(g1, g2),
+            ondemand_options=(
+                OnDemandOption(get_instance_type("c3.xlarge"), 8, 7.0),
+            ),
+            deadline=14.0,
+        )
+        history = SpotPriceHistory()
+        for seed, spec in enumerate((g1, g2)):
+            rng = np.random.default_rng(seed)
+            times = np.arange(n, dtype=np.float64) * 0.25
+            history.add(spec.key, SpotPriceTrace(
+                times, 0.01 + 0.02 * rng.random(n), float(n) * 0.25
+            ))
+        return problem, history
+
+    def _run(self, problem, history, tmp_root):
+        plan = _plan(history, tmp_root, problem)
+        assert plan.decision.groups, "expected a spot-using plan"
+        starts = sample_start_times(
+            problem, plan.decision, history, 16, np.random.default_rng(5)
+        )
+        return plan, replay_batch(problem, plan.decision, history, starts)
+
+    def test_empty_env_writes_nothing_and_matches_warm_store(
+        self, tmp_path, monkeypatch
+    ):
+        # Every other place a store could resolve to lives in tmp_path.
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, "")
+        problem, history = self._setup()
+
+        def artifact_counters():
+            counters = obs.get_metrics().snapshot()["counters"]
+            return {
+                name: value for name, value in counters.items()
+                if name.startswith("cache.artifact_")
+            }
+
+        before = artifact_counters()
+        off_plan, off_runs = self._run(problem, history, None)
+        assert not list(tmp_path.rglob("*.npz"))
+        assert artifact_counters() == before  # no disk event counted
+
+        # The same run on a private store, cold (writes both planner and
+        # kernel artifacts) and then warm from disk.
+        store_dir = tmp_path / "store"
+        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(store_dir))
+        clear_shared_caches()
+        self._run(problem, history, None)
+        kinds = {p.parent.parent.name for p in store_dir.rglob("*.npz")}
+        assert {"group_tables", "trace_bid"} <= kinds
+        clear_shared_caches()
+        hits = obs.get_metrics().get("cache.artifact_hits.trace_bid")
+        warm_plan, warm_runs = self._run(problem, history, None)
+        assert obs.get_metrics().get("cache.artifact_hits.trace_bid") > hits
+        _assert_same_plan(off_plan, warm_plan)
+        assert off_runs == warm_runs  # exact, field by field
 
 
 class TestEviction:
@@ -301,42 +380,30 @@ class TestEviction:
         paths = self._fill(seed, n=4)
         keep = sum(p.stat().st_size for p in paths[3:])
         monkeypatch.setenv(artifacts.ARTIFACT_MAX_BYTES_ENV, str(keep))
-        store = get_store(SompiConfig(artifact_dir=str(tmp_path)))
+        store = get_store(str(tmp_path))
         assert store is not None and store.max_bytes == keep
         assert store.stats()["bytes"] <= keep
         assert paths[3].exists() and not paths[0].exists()
 
 
 class TestMaxBytesResolution:
-    def test_config_value_used_without_env(self, monkeypatch):
-        monkeypatch.delenv(artifacts.ARTIFACT_MAX_BYTES_ENV, raising=False)
-        cfg = SompiConfig(artifact_max_bytes=123)
-        assert artifacts.resolve_max_bytes(cfg) == 123
-        assert artifacts.resolve_max_bytes(SompiConfig()) is None
-
-    def test_env_wins_over_config(self, monkeypatch):
+    def test_env_value_is_the_cap(self, monkeypatch):
         monkeypatch.setenv(artifacts.ARTIFACT_MAX_BYTES_ENV, "50")
-        assert artifacts.resolve_max_bytes(
-            SompiConfig(artifact_max_bytes=100)
-        ) == 50
+        assert artifacts.resolve_max_bytes() == 50
+        monkeypatch.delenv(artifacts.ARTIFACT_MAX_BYTES_ENV)
+        assert artifacts.resolve_max_bytes() is None
 
     def test_empty_env_means_no_limit(self, monkeypatch):
         monkeypatch.setenv(artifacts.ARTIFACT_MAX_BYTES_ENV, "")
-        assert artifacts.resolve_max_bytes(
-            SompiConfig(artifact_max_bytes=100)
-        ) is None
+        assert artifacts.resolve_max_bytes() is None
 
     def test_nonpositive_env_means_no_limit(self, monkeypatch):
         monkeypatch.setenv(artifacts.ARTIFACT_MAX_BYTES_ENV, "0")
-        assert artifacts.resolve_max_bytes(None) is None
+        assert artifacts.resolve_max_bytes() is None
 
     def test_garbage_env_raises(self, monkeypatch):
         from repro.errors import ConfigurationError
 
         monkeypatch.setenv(artifacts.ARTIFACT_MAX_BYTES_ENV, "lots")
         with pytest.raises(ConfigurationError, match="integer"):
-            artifacts.resolve_max_bytes(None)
-
-    def test_config_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError, match="artifact_max_bytes"):
-            SompiConfig(artifact_max_bytes=0)
+            artifacts.resolve_max_bytes()

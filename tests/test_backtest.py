@@ -24,8 +24,10 @@ from repro.backtest import (
 )
 from repro.cloud.zones import Zone
 from repro.config import SompiConfig
+from repro.core.two_level import clear_shared_caches
 from repro.core.windows import BacktestWindow
 from repro.errors import ConfigurationError
+from repro.execution.artifacts import ARTIFACT_DIR_ENV
 from repro.experiments.env import ExperimentEnv
 from repro.market.history import SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
@@ -201,18 +203,22 @@ class TestRunBacktest:
         report2 = run_backtest(env2, BacktestManifest.load(path))
         assert report2.results == report.results
 
-    def test_artifact_cache_off_is_bit_identical(self, mini_report):
+    def test_artifact_cache_off_is_bit_identical(self, mini_report, monkeypatch):
+        """Disk tier off (``REPRO_ARTIFACT_DIR=""``), memory tier cold."""
         _env, manifest, report = mini_report
-        env2 = _mini_env(config=SompiConfig(
-            kappa=2, bid_levels=5, artifact_cache=False
-        ))
+        monkeypatch.setenv(ARTIFACT_DIR_ENV, "")
+        clear_shared_caches()
+        env2 = _mini_env()
         report2 = run_backtest(env2, manifest)
         assert report2.results == report.results
 
-    def test_table_cache_off_is_bit_identical(self, mini_report):
+    def test_table_cache_off_is_bit_identical(self, mini_report, tmp_path):
+        """Memory tier cold and an empty private store: every table is
+        rebuilt from scratch."""
         _env, manifest, report = mini_report
+        clear_shared_caches()
         env2 = _mini_env(config=SompiConfig(
-            kappa=2, bid_levels=5, table_cache=False
+            kappa=2, bid_levels=5, artifact_dir=str(tmp_path)
         ))
         report2 = run_backtest(env2, manifest)
         assert report2.results == report.results

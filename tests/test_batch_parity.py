@@ -265,19 +265,21 @@ class TestCorrelatedParity:
 
 class TestTableCache:
     def test_cache_on_off_parity_and_clearing(self):
+        """A cold table cache (just cleared) and a warm one (filled by
+        the cold replay) give bit-identical replays."""
         problem, decision, h = spiky_setup(SEEDS[2])
         starts = sample_start_times(
             problem, decision, h, 8, np.random.default_rng(2)
         )
         clear_shared_caches()
         assert table_cache_size() == 0
-        cached = replay_batch(problem, decision, h, starts, table_cache=True)
-        assert table_cache_size() > 0
-        uncached = replay_batch(
-            problem, decision, h, starts, table_cache=False
-        )
-        for a, b in zip(cached, uncached):
-            assert_runs_equal(a, b, "table_cache on/off")
+        cold = replay_batch(problem, decision, h, starts)
+        filled = table_cache_size()
+        assert filled > 0
+        warm = replay_batch(problem, decision, h, starts)
+        assert table_cache_size() == filled  # served, not rebuilt
+        for a, b in zip(cold, warm):
+            assert_runs_equal(a, b, "table cache cold/warm")
         clear_shared_caches()
         assert table_cache_size() == 0
 

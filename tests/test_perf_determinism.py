@@ -4,7 +4,7 @@ The caches, the pruned subset search, the batched replay and the
 process-parallel Monte-Carlo are all claimed to be *bit-identical* to
 the seed implementation paths.  These tests hold that claim down:
 
-* cached vs cache-disabled planning → identical plans,
+* cold-cache vs warm-cache planning → identical plans,
 * pruned vs unpruned subset search → identical winner and counts,
 * batched replay vs the scalar oracle → identical RunResults field by
   field,
@@ -19,6 +19,7 @@ from repro import obs
 from repro.core.optimizer import SompiOptimizer, build_failure_models
 from repro.core.subset import exhaustive_subset_search
 from repro.core.two_level import TwoLevelOptimizer, clear_shared_caches
+from repro.execution.artifacts import ARTIFACT_DIR_ENV
 from repro.execution.batch_replay import replay_batch
 from repro.execution.montecarlo import (
     evaluate_decision_mc,
@@ -44,24 +45,30 @@ def planned(env):
 
 
 class TestCachedPlanningIdentical:
-    def test_cache_off_matches_cache_on(self, env):
+    def test_cache_off_matches_cache_on(self, env, monkeypatch, tmp_path):
+        """Every cache tier cold (fresh failure models, shared caches
+        cleared, disk tier off) plans exactly what warm tiers serve."""
         problem = env.problem("SP", deadline_factor=1.05)
-        cached_cfg = env.config.with_(table_cache=True)
-        uncached_cfg = env.config.with_(table_cache=False)
+        monkeypatch.setenv(ARTIFACT_DIR_ENV, "")
         clear_shared_caches()
-        hot = SompiOptimizer(
-            problem,
-            build_failure_models(problem, env.training_history(), cache=True),
-            cached_cfg,
-        ).plan()
         cold = SompiOptimizer(
             problem,
-            build_failure_models(problem, env.training_history(), cache=False),
-            uncached_cfg,
+            build_failure_models(problem, env.training_history()),
+            env.config,
         ).plan()
+        # Warm: prime memory and a private store, then re-plan over the
+        # same (memo-filled) failure models.
+        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
+        clear_shared_caches()
+        models = build_failure_models(problem, env.training_history())
+        SompiOptimizer(problem, models, env.config).plan()
+        hits = obs.get_metrics().get("cache.subset_hits")
+        hot = SompiOptimizer(problem, models, env.config).plan()
+        assert obs.get_metrics().get("cache.subset_hits") > hits
         assert hot.expectation == cold.expectation
         assert hot.decision == cold.decision
         assert hot.combos_evaluated == cold.combos_evaluated
+        clear_shared_caches()
 
     def test_second_plan_served_from_cache_is_identical(self, env):
         problem = env.problem("SP", deadline_factor=1.05)
