@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Bring your own MPI application.
 
-Defines a 2D Jacobi stencil solver as an :class:`MPIApplication`,
-*executes* a scaled-down instance of it on the discrete-event MPI
-runtime to validate the communication structure and collect the TAU
-profile counters, and then plans its cost-optimal cloud execution.
+Defines a 2D Jacobi stencil solver as an :class:`MPIApplication` — all
+it needs is its TAU-style analytic profile — prints that profile and the
+estimated run time per instance type, and then plans its cost-optimal
+cloud execution.
 
 Run:  python examples/custom_application.py
 """
@@ -13,7 +13,6 @@ from repro.apps.base import MPIApplication, WorkloadCategory
 from repro.cloud.instance_types import PAPER_TYPES, get_instance_type
 from repro.experiments.env import ExperimentEnv
 from repro.mpi.profile import ApplicationProfile, CollectiveCounts
-from repro.mpi.runtime import MPIRuntime
 from repro.mpi.timing import estimate_execution_hours
 
 
@@ -45,53 +44,25 @@ class Jacobi2D(MPIApplication):
             memory_gb_per_process=points * self.BYTES_PER_POINT * 2 / p / 1024**3,
         )
 
-    def rank_program(self, mpi, iterations=3, scale=1e-6):
-        n = self.GRID[self.problem_class]
-        points_per_rank = n * n * scale / mpi.size
-        halo = 2 * n * self.BYTES_PER_POINT * scale
-        residual = 1.0
-        for _ in range(iterations):
-            yield from mpi.compute(self.FLOPS_PER_POINT * points_per_rank / 1e9)
-            up, down = (mpi.rank - 1) % mpi.size, (mpi.rank + 1) % mpi.size
-            if mpi.size > 1:
-                yield from mpi.send(up, halo)
-                yield from mpi.send(down, halo)
-                yield from mpi.recv(up)
-                yield from mpi.recv(down)
-            residual = yield from mpi.allreduce(residual * 0.5, nbytes=8.0)
-        return residual
-
 
 def main() -> None:
     app = Jacobi2D(problem_class="B", n_processes=128, repeats=100)
 
-    # 1. Validate the structure on the simulated MPI runtime (8 ranks,
-    #    tiny problem) and show the recorded profile.
-    runtime = MPIRuntime(
-        get_instance_type("c3.xlarge"),
-        8,
-        lambda mpi: app.rank_program(mpi, iterations=5, scale=1e-5),
-        name="jacobi-smoke",
-    )
-    stats = runtime.run()
-    print(
-        f"smoke run on 8 simulated ranks: {stats.wall_seconds:.3f} s wall, "
-        f"residual {stats.rank_results[0]:.4f}"
-    )
-    print(
-        f"recorded: {stats.profile.p2p_messages:.0f} messages, "
-        f"{stats.profile.p2p_bytes / 1e6:.1f} MB halo traffic, "
-        f"{stats.profile.collectives['allreduce'].count:.0f} allreduces"
-    )
-
-    # 2. Estimate the full workload on each instance type.
+    # 1. The analytic profile of the extended workload, and the
+    #    Section 4.4 estimate of its run time on each instance type.
     profile = app.profile()
+    print(
+        f"profile {profile.name}: {profile.instr_giga:.3g} G instr, "
+        f"{profile.p2p_messages:.3g} messages, "
+        f"{profile.p2p_bytes / 1e9:.1f} GB halo traffic, "
+        f"{profile.collectives['allreduce'].count:.3g} allreduces"
+    )
     print(f"\nestimated hours for {profile.name}:")
     for tname in PAPER_TYPES:
         hours = estimate_execution_hours(profile, get_instance_type(tname))
         print(f"  {tname:>12}: {hours:6.1f} h")
 
-    # 3. Plan the cloud execution.
+    # 2. Plan the cloud execution.
     env = ExperimentEnv.paper_default(seed=7)
     problem = env.problem(app, deadline_factor=1.5)
     plan = env.sompi_plan(problem)

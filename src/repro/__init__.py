@@ -9,9 +9,10 @@ Replicated Execution"* (SC '15), as a self-contained Python library:
 * :mod:`repro.market` — spot-price traces, a calibrated synthetic
   generator, failure-rate models.
 * :mod:`repro.cloud` — the EC2-like substrate (catalog, zones, spot
-  lifecycle, billing, S3-like checkpoint store).
-* :mod:`repro.mpi` + :mod:`repro.apps` — a discrete-event MPI runtime
-  and the NPB/LAMMPS workload models that feed the profiler.
+  price-trace primitives, billing, S3-like checkpoint store).
+* :mod:`repro.mpi` + :mod:`repro.apps` — the analytic MPI cost model
+  and the NPB/LAMMPS workload profiles it turns into per-type run
+  times.
 * :mod:`repro.execution` — trace replay, Monte-Carlo evaluation and the
   adaptive executor.
 * :mod:`repro.baselines` — On-demand, Spot-Inf/Spot-Avg, Marathe(-Opt)

@@ -5,15 +5,13 @@ FT, IS (communication-intensive), BTIO (IO-intensive) — at 128 processes
 CLASS B, each run 100-200 times back to back, plus LAMMPS with a fixed
 problem size and varying process counts.
 
-Each application here provides:
-
-* :meth:`~repro.apps.base.MPIApplication.profile` — the TAU-style
-  aggregate profile of the *extended* workload (single-run counts scaled
-  by ``repeats``), which drives the Section 4.4 time/checkpoint
-  estimators, and
-* :meth:`~repro.apps.base.MPIApplication.rank_program` — a runnable
-  scaled-down rank program with the same phase structure, executed on
-  the discrete-event MPI runtime in tests and examples.
+Each application provides
+:meth:`~repro.apps.base.MPIApplication.single_run_profile`, the
+TAU-style profile of one execution; its
+:meth:`~repro.apps.base.MPIApplication.profile` scales it by ``repeats``
+into the *extended* workload that drives the Section 4.4
+time/checkpoint estimators.  A subclass that defines
+``single_run_profile`` is all the optimizer needs.
 
 Calibration constants are documented per kernel; they are chosen so the
 *relative* execution times across instance types reproduce the paper's

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Any, Generator
 
 from ..errors import ConfigurationError
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile
 
 
@@ -70,17 +68,6 @@ class MPIApplication(ABC):
             self.repeats,
             name=f"{self.name}.{self.problem_class} x{self.repeats}",
         )
-
-    @abstractmethod
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 3, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """A runnable scaled-down rank program for the DES runtime.
-
-        ``iterations`` replaces the kernel's iteration count and
-        ``scale`` multiplies work/payload sizes, so tests can run the
-        real phase structure in milliseconds.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

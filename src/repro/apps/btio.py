@@ -10,9 +10,6 @@ on BTIO.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile
 from .base import WorkloadCategory
 from .npb import volume_factor
@@ -44,16 +41,3 @@ class BTIO(BT):
             io_seq_bytes=io_bytes,
             memory_gb_per_process=base.memory_gb_per_process,
         )
-
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 3, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """BT sweep plus a solution dump every IO_EVERY iterations."""
-        n = mpi.size
-        dump_bytes = self.DUMP_BYTES_B * scale / n
-        result = None
-        for it in range(iterations):
-            result = yield from super().rank_program(mpi, iterations=1, scale=scale)
-            if (it + 1) % self.IO_EVERY == 0 or it == iterations - 1:
-                yield from mpi.io(dump_bytes, sequential=True)
-        return result

@@ -10,9 +10,6 @@ though the byte volume is small.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile, CollectiveCounts
 from .base import MPIApplication, WorkloadCategory
 
@@ -51,24 +48,3 @@ class CG(MPIApplication):
             },
             memory_gb_per_process=nnz * 12.0 / max(1, n) / 1024.0**3,
         )
-
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 3, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """One CG iteration: SpMV with halo exchange, two dot products."""
-        rows = self.ROWS[self.problem_class]
-        nnz = rows * self.NNZ_PER_ROW[self.problem_class] * 64 * scale
-        work = self.INSTR_PER_NNZ * nnz / 1e9 / mpi.size
-        halo = self.HALO_BYTES_PER_ROWSEG * rows * scale
-        rho = 1.0
-        for _ in range(iterations):
-            yield from mpi.compute(work)
-            if mpi.size > 1:
-                peer = mpi.size - 1 - mpi.rank  # transpose partner
-                if peer != mpi.rank:
-                    got = yield from mpi.sendrecv(peer, halo, peer, payload=rho)
-                    rho = float(got)
-            rho = yield from mpi.allreduce(rho, nbytes=8.0)
-            alpha = yield from mpi.allreduce(rho * 0.5, nbytes=8.0)
-            rho = alpha
-        return rho

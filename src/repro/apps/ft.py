@@ -9,9 +9,6 @@ paper's central observation for communication-intensive kernels.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile, CollectiveCounts
 from .base import MPIApplication, WorkloadCategory
 from .npb import FT_POINTS
@@ -52,20 +49,3 @@ class FT(MPIApplication):
             },
             memory_gb_per_process=self.MEMORY_GB_B * vol / n,
         )
-
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 3, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """FFT step: local butterflies, transpose (alltoall), checksum."""
-        n = mpi.size
-        points = FT_POINTS[self.problem_class] * scale
-        slab_bytes = points * self.BYTES_PER_POINT / n
-        work = self.INSTR_GIGA_B * scale / n
-        checksum = 0.0
-        for _ in range(iterations):
-            yield from mpi.compute(work)
-            outbox = [mpi.rank] * n
-            inbox = yield from mpi.alltoall(outbox, nbytes=slab_bytes)
-            yield from mpi.compute(work)
-            checksum = yield from mpi.allreduce(float(sum(inbox)), nbytes=16.0)
-        return checksum

@@ -8,9 +8,6 @@ exchange *is* the kernel.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile, CollectiveCounts
 from .base import MPIApplication, WorkloadCategory
 from .npb import IS_KEYS
@@ -51,21 +48,3 @@ class IS(MPIApplication):
             },
             memory_gb_per_process=self.MEMORY_GB_B * vol / n,
         )
-
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 3, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """Bucket sort step: histogram, count reduction, redistribution."""
-        n = mpi.size
-        keys_per_proc = IS_KEYS[self.problem_class] * scale / n
-        work = self.INSTR_PER_KEY * keys_per_proc / 1e9
-        total = 0
-        for _ in range(iterations):
-            yield from mpi.compute(work)
-            counts = yield from mpi.allreduce(1, nbytes=4096.0)
-            outbox = [mpi.rank] * n
-            inbox = yield from mpi.alltoall(
-                outbox, nbytes=keys_per_proc * self.BYTES_PER_KEY
-            )
-            total = counts + sum(inbox)
-        return total

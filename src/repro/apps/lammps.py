@@ -16,9 +16,6 @@ Strong-scaling mechanics per rank and step:
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile, CollectiveCounts
 from .base import MPIApplication, WorkloadCategory
 
@@ -78,26 +75,3 @@ class LAMMPS(MPIApplication):
             * atoms_per_proc
             / 1024.0**3,
         )
-
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 3, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """One MD step: forces, halo exchange, PPPM transpose, thermo."""
-        n = mpi.size
-        atoms_per_proc = max(1.0, self.atoms * scale / n)
-        halo_bytes = self.HALO_BYTES_COEFF * atoms_per_proc ** (2.0 / 3.0)
-        work = self.INSTR_PER_ATOM_STEP * atoms_per_proc / 1e9
-        energy = 0.0
-        for _ in range(iterations):
-            yield from mpi.compute(work)
-            if n > 1:
-                left = (mpi.rank - 1) % n
-                right = (mpi.rank + 1) % n
-                yield from mpi.send(right, halo_bytes, payload=energy)
-                yield from mpi.send(left, halo_bytes, payload=energy)
-                yield from mpi.recv(left)
-                yield from mpi.recv(right)
-                outbox = [mpi.rank] * n
-                yield from mpi.alltoall(outbox, nbytes=self.PPPM_GRID_BYTES * scale / n)
-            energy = yield from mpi.allreduce(float(mpi.rank), nbytes=24.0)
-        return energy

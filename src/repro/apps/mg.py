@@ -10,9 +10,7 @@ BT's halo pattern and CG's latency-bound reductions.
 from __future__ import annotations
 
 from math import log2
-from typing import Any, Generator
 
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile, CollectiveCounts
 from .base import MPIApplication, WorkloadCategory
 
@@ -47,30 +45,3 @@ class MG(MPIApplication):
             },
             memory_gb_per_process=points * self.BYTES_PER_POINT * 1.6 / n / 1024.0**3,
         )
-
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 2, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """One V-cycle: smooth/restrict down the levels, then back up."""
-        edge = self.GRID[self.problem_class]
-        points = (float(edge) ** 3) * scale
-        levels = max(1, int(log2(edge)) - 2)
-        residual = 1.0
-        for _ in range(iterations):
-            for depth in range(levels):  # down-sweep
-                level_points = points / (8.0**depth)
-                yield from mpi.compute(
-                    self.INSTR_PER_POINT_ITER * level_points / 1e9 / mpi.size
-                )
-                if mpi.size > 1:
-                    nxt = (mpi.rank + 1) % mpi.size
-                    prv = (mpi.rank - 1) % mpi.size
-                    face = (level_points ** (2.0 / 3.0)) * self.BYTES_PER_POINT
-                    yield from mpi.sendrecv(nxt, face, prv, payload=depth)
-            for depth in reversed(range(levels)):  # up-sweep
-                level_points = points / (8.0**depth)
-                yield from mpi.compute(
-                    self.INSTR_PER_POINT_ITER * level_points / 2e9 / mpi.size
-                )
-            residual = yield from mpi.allreduce(residual * 0.5, nbytes=8.0)
-        return residual

@@ -16,9 +16,6 @@ BTIO dominated by aggregate disk bandwidth.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from ..mpi.communicator import RankHandle
 from ..mpi.profile import ApplicationProfile, CollectiveCounts
 from .base import MPIApplication
 
@@ -49,7 +46,7 @@ def surface_factor(problem_class: str) -> float:
 
 
 class StructuredGridKernel(MPIApplication):
-    """Common profile/program shape of BT, SP and LU.
+    """Common profile shape of BT, SP and LU.
 
     Subclasses set the CLASS B calibration constants:
 
@@ -82,24 +79,3 @@ class StructuredGridKernel(MPIApplication):
             },
             memory_gb_per_process=self.MEMORY_GB_B * vol / n,
         )
-
-    def rank_program(
-        self, mpi: RankHandle, iterations: int = 3, scale: float = 1e-6
-    ) -> Generator[Any, Any, Any]:
-        """Halo exchange with ring neighbours + compute + residual check."""
-        n = mpi.size
-        halo_bytes = self.P2P_BYTES_B * scale / max(1, n)
-        work = self.INSTR_GIGA_B * scale / max(1, n)
-        residual = 0.0
-        for _ in range(iterations):
-            yield from mpi.compute(work)
-            left = (mpi.rank - 1) % n
-            right = (mpi.rank + 1) % n
-            if n > 1:
-                yield from mpi.send(right, halo_bytes, payload=mpi.rank)
-                yield from mpi.send(left, halo_bytes, payload=mpi.rank)
-                got_l = yield from mpi.recv(left)
-                got_r = yield from mpi.recv(right)
-                residual = float(got_l + got_r)
-            residual = yield from mpi.allreduce(residual, nbytes=8.0)
-        return residual

@@ -2,8 +2,9 @@
 
 Models the parts of Amazon EC2 the paper's system touches: the instance
 catalog with 2014-era prices and capabilities, availability zones, the
-spot-instance lifecycle against a price trace, on-demand instances,
-hourly billing, and an S3-like checkpoint store.
+spot-market primitives over a price trace (launch, out-of-bid,
+integrated price), on-demand instances, hourly billing, and an S3-like
+checkpoint store.
 """
 
 from .instance_types import (
@@ -16,15 +17,12 @@ from .instance_types import (
 from .zones import Zone, DEFAULT_ZONES
 from .billing import BillingPolicy, CostLedger, CostItem
 from .spot import (
-    SpotLifecycle,
-    SpotRun,
     first_exceedance,
     first_at_or_below,
     integrate_price,
 )
 from .ondemand import OnDemandInstance
 from .s3 import S3Store, S3Object
-from .provider import CloudProvider
 
 __all__ = [
     "InstanceType",
@@ -37,13 +35,10 @@ __all__ = [
     "BillingPolicy",
     "CostLedger",
     "CostItem",
-    "SpotLifecycle",
-    "SpotRun",
     "first_exceedance",
     "first_at_or_below",
     "integrate_price",
     "OnDemandInstance",
     "S3Store",
     "S3Object",
-    "CloudProvider",
 ]

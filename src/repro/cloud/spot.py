@@ -1,4 +1,4 @@
-"""Spot-instance lifecycle against a price trace.
+"""Spot-market primitives against a price trace.
 
 Semantics follow the 2014 spot market (Section 2.1):
 
@@ -10,12 +10,13 @@ Semantics follow the 2014 spot market (Section 2.1):
   over the running window.
 
 The functions here are exact on the piecewise-constant trace — no grid
-sampling — and are shared by the replay simulator and the tests.
+sampling.  They are the scalar references of the replay kernels in
+:mod:`repro.execution.kernels`, and the ledger audit re-bills with
+:func:`billed_spot_cost`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -113,61 +114,3 @@ def billed_spot_cost(
             )
             cost += trace.price_at(boundary) * g
     return cost
-
-
-@dataclass(frozen=True)
-class SpotRun:
-    """Outcome of one spot request driven against a trace.
-
-    ``terminated`` is True when the run ended with an out-of-bid event;
-    False means it was still running at ``end`` (ran to the requested
-    horizon or to the end of the trace window).
-    """
-
-    requested_at: float
-    launched_at: Optional[float]
-    end: float
-    terminated: bool
-    cost_per_instance: float
-
-    @property
-    def launched(self) -> bool:
-        return self.launched_at is not None
-
-    @property
-    def running_hours(self) -> float:
-        return 0.0 if self.launched_at is None else self.end - self.launched_at
-
-
-class SpotLifecycle:
-    """Drives spot requests for one market (one trace)."""
-
-    def __init__(self, trace: SpotPriceTrace) -> None:
-        self.trace = trace
-
-    def run(
-        self,
-        bid: float,
-        requested_at: float,
-        max_duration: Optional[float] = None,
-    ) -> SpotRun:
-        """Submit a request at ``requested_at`` and run until out-of-bid,
-        ``max_duration`` running-hours elapse, or the trace ends —
-        whichever comes first."""
-        launch = first_at_or_below(self.trace, bid, requested_at)
-        if launch is None:
-            return SpotRun(requested_at, None, self.trace.end_time, False, 0.0)
-        horizon = self.trace.end_time
-        if max_duration is not None:
-            horizon = min(horizon, launch + max_duration)
-        death = first_exceedance(self.trace, bid, launch)
-        if death is not None and death <= launch:
-            # Can only happen with a bid exactly at a boundary price; treat
-            # as an immediate termination with zero cost.
-            return SpotRun(requested_at, launch, launch, True, 0.0)
-        if death is None or death >= horizon:
-            end, terminated = horizon, False
-        else:
-            end, terminated = death, True
-        cost = integrate_price(self.trace, launch, end) if end > launch else 0.0
-        return SpotRun(requested_at, launch, end, terminated, cost)

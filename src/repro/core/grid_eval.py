@@ -177,20 +177,19 @@ def optimal_interval_grid(
 def subset_bounds(
     min_spot: np.ndarray,
     min_ratio: np.ndarray,
-    min_wall: np.ndarray,
     subsets: np.ndarray,
     full_run_cost: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Admissible lower bounds for a whole ``(subsets, k)`` index matrix.
+) -> np.ndarray:
+    """Admissible cost lower bounds for a whole ``(subsets, k)`` index
+    matrix.
 
-    ``min_spot`` / ``min_ratio`` / ``min_wall`` are the per-group floors
-    (``e_spot.min()`` etc. of each group table); ``subsets`` holds group
-    indices, one subset per row.  Returns ``(cost_bounds,
-    time_bounds)``.  The accumulations run position by position in
-    subset order — the identical float operation sequence as the scalar
-    ``_subset_bound`` (``sum`` from zero, product from one, running
-    ``max``) — so each bound equals its scalar counterpart bitwise and
-    incumbent pruning decisions are unchanged.
+    ``min_spot`` / ``min_ratio`` are the per-group floors (``e_spot.min()``
+    and ``e_ratio.min()`` of each group table); ``subsets`` holds group
+    indices, one subset per row.  The accumulations run position by
+    position in subset order — the identical float operation sequence as
+    the scalar ``_subset_bound`` (``sum`` from zero, product from one) —
+    so each bound equals its scalar counterpart bitwise and incumbent
+    pruning decisions are unchanged.
     """
     idx = np.asarray(subsets, dtype=np.intp)
     if idx.ndim != 2 or idx.size == 0:
@@ -198,10 +197,7 @@ def subset_bounds(
     n_subsets, k = idx.shape
     spot = np.zeros(n_subsets)
     ratio = np.ones(n_subsets)
-    wall = np.asarray(min_wall, dtype=float)[idx[:, 0]].astype(float, copy=True)
     for j in range(k):
         spot += np.asarray(min_spot, dtype=float)[idx[:, j]]
         ratio *= np.asarray(min_ratio, dtype=float)[idx[:, j]]
-        if j > 0:
-            np.maximum(wall, np.asarray(min_wall, dtype=float)[idx[:, j]], out=wall)
-    return spot + ratio * full_run_cost, wall
+    return spot + ratio * full_run_cost

@@ -14,11 +14,10 @@ time — ready to hand to an executor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .. import obs
 from ..config import DEFAULT_CONFIG, SompiConfig
-from ..errors import InfeasibleError
 from ..market.failure import FailureModel
 from ..market.history import MarketKey, SpotPriceHistory
 from .cost_model import Expectation
@@ -152,73 +151,6 @@ class SompiOptimizer:
                 problem=self.problem,
                 decision=decision,
                 expectation=ondemand_only,
-                ondemand=ondemand,
-                combos_evaluated=optimizer.combos_evaluated,
-                used_spot=False,
-            )
-        return SompiPlan(
-            problem=self.problem,
-            decision=result.to_decision(od_index),
-            expectation=result.expectation,
-            ondemand=ondemand,
-            combos_evaluated=optimizer.combos_evaluated,
-            used_spot=True,
-        )
-
-
-    def plan_budget(self, budget: float) -> SompiPlan:
-        """The dual problem: minimise expected time within a cost budget.
-
-        An extension beyond the paper (its related work frames this
-        variant; the machinery is identical with the objective and
-        constraint swapped).  The fallback on-demand type is the fastest
-        one whose full run fits the budget; if none fits, spot is the
-        only hope and the cheapest type backs the recovery path.
-
-        Raises
-        ------
-        InfeasibleError
-            If neither any spot plan nor any on-demand run fits the
-            budget in expectation.
-        """
-        if budget <= 0:
-            raise InfeasibleError(f"budget must be > 0, got {budget}")
-        options = self.problem.ondemand_options
-        affordable = [
-            (o.exec_time, i) for i, o in enumerate(options) if o.full_run_cost <= budget
-        ]
-        if affordable:
-            _, od_index = min(affordable)
-        else:
-            od_index = min(
-                range(len(options)), key=lambda i: options[i].full_run_cost
-            )
-        ondemand = options[od_index]
-        optimizer = TwoLevelOptimizer(
-            self.problem, self.failure_models, ondemand, self.config
-        )
-        if self.config.subset_strategy == "greedy":
-            result = greedy_subset_search(
-                optimizer, self.config.kappa, objective="time", budget=budget
-            )
-        else:
-            result = exhaustive_subset_search(
-                optimizer, self.config.kappa, objective="time", budget=budget
-            )
-        optimizer.save_search_sidecar()
-        ondemand_ok = ondemand.full_run_cost <= budget
-        if result is None and not ondemand_ok:
-            raise InfeasibleError(
-                f"no plan fits the ${budget:.2f} budget; cheapest on-demand "
-                f"run is ${ondemand.full_run_cost:.2f}"
-            )
-        if result is None or (
-            ondemand_ok and ondemand.exec_time < result.expectation.time
-        ):
-            return SompiPlan(
-                problem=self.problem,
-                decision=Decision(groups=(), ondemand_index=od_index),
-                expectation=_ondemand_only_expectation(ondemand),
                 ondemand=ondemand,
                 combos_evaluated=optimizer.combos_evaluated,
                 used_spot=False,

@@ -46,7 +46,6 @@ def enumerate_subsets(
 def _precomputed_bounds(
     optimizer: TwoLevelOptimizer,
     subsets: Sequence[Tuple[int, ...]],
-    objective: str,
 ) -> Dict[Tuple[int, ...], float]:
     """Admissible bounds for every candidate subset in one array program.
 
@@ -63,24 +62,21 @@ def _precomputed_bounds(
     n = optimizer.problem.n_groups
     min_spot = np.empty(n)
     min_ratio = np.empty(n)
-    min_wall = np.empty(n)
     for i in range(n):
         table = optimizer.group_table(i)
         min_spot[i] = table.e_spot.min()
         min_ratio[i] = table.e_ratio.min()
-        min_wall[i] = table.e_wall.min()
     by_size: Dict[int, list] = {}
     for subset in subsets:
         by_size.setdefault(len(subset), []).append(subset)
     bounds: Dict[Tuple[int, ...], float] = {}
     for group in by_size.values():
-        cost_b, time_b = grid_eval.subset_bounds(
-            min_spot, min_ratio, min_wall,
+        cost_b = grid_eval.subset_bounds(
+            min_spot, min_ratio,
             np.array(group, dtype=np.intp),
             optimizer.ondemand.full_run_cost,
         )
-        chosen = cost_b if objective == "cost" else time_b
-        for subset, value in zip(group, chosen):
+        for subset, value in zip(group, cost_b):
             bounds[subset] = float(value)
     return bounds
 
@@ -89,8 +85,6 @@ def exhaustive_subset_search(
     optimizer: TwoLevelOptimizer,
     kappa: int,
     exact_size: bool = False,
-    objective: str = "cost",
-    budget: Optional[float] = None,
 ) -> Optional[SubsetResult]:
     """Best result over all subsets (``None`` if every subset is infeasible).
 
@@ -102,25 +96,19 @@ def exhaustive_subset_search(
     the reported ``combos_evaluated``) is identical with pruning off.
     """
     best: Optional[SubsetResult] = None
-
-    def score(res: SubsetResult) -> float:
-        return res.expectation.cost if objective == "cost" else res.expectation.time
-
     subsets = list(
         enumerate_subsets(optimizer.problem.n_groups, kappa, exact_size)
     )
-    bounds = _precomputed_bounds(optimizer, subsets, objective)
+    bounds = _precomputed_bounds(optimizer, subsets)
     for subset in subsets:
         result = optimizer.optimize_subset(
             subset,
-            objective=objective,
-            budget=budget,
-            prune_above=None if best is None else score(best),
+            prune_above=None if best is None else best.expectation.cost,
             bound=bounds[subset],
         )
         if result is None:
             continue
-        if best is None or score(result) < score(best):
+        if best is None or result.expectation.cost < best.expectation.cost:
             best = result
     return best
 
@@ -128,30 +116,22 @@ def exhaustive_subset_search(
 def greedy_subset_search(
     optimizer: TwoLevelOptimizer,
     kappa: int,
-    objective: str = "cost",
-    budget: Optional[float] = None,
 ) -> Optional[SubsetResult]:
     """Grow the subset greedily: start from the best single group, then
-    repeatedly add the group that improves the objective the most.
+    repeatedly add the group that lowers the expected cost the most.
 
     Evaluates ``O(K * kappa)`` subsets instead of ``O(C(K, kappa))``.
-    Accepts the same ``objective``/``budget`` pair as the exhaustive
-    traversal so budget-constrained planning can use the heuristic too.
     """
     n = optimizer.problem.n_groups
     kappa = min(kappa, n)
     chosen: list[int] = []
     best: Optional[SubsetResult] = None
     remaining = set(range(n))
-
-    def score(res: SubsetResult) -> float:
-        return res.expectation.cost if objective == "cost" else res.expectation.time
-
     for _ in range(kappa):
         round_best: Optional[SubsetResult] = None
         round_pick: Optional[int] = None
         candidates = [tuple(chosen + [g]) for g in sorted(remaining)]
-        bounds = _precomputed_bounds(optimizer, candidates, objective)
+        bounds = _precomputed_bounds(optimizer, candidates)
         for subset in candidates:
             g = subset[-1]
             # Prune against the *round* incumbent only: the stop rule
@@ -159,20 +139,23 @@ def greedy_subset_search(
             # round_best itself must come out exactly as without pruning.
             result = optimizer.optimize_subset(
                 subset,
-                objective=objective,
-                budget=budget,
-                prune_above=None if round_best is None else score(round_best),
+                prune_above=(
+                    None if round_best is None else round_best.expectation.cost
+                ),
                 bound=bounds[subset],
             )
             if result is None:
                 continue
-            if round_best is None or score(result) < score(round_best):
+            if (
+                round_best is None
+                or result.expectation.cost < round_best.expectation.cost
+            ):
                 round_best, round_pick = result, g
         if round_pick is None:
             break
         # Keep growing only while it helps; adding a replica costs money,
         # so the curve is not monotone.
-        if best is not None and score(round_best) >= score(best):
+        if best is not None and round_best.expectation.cost >= best.expectation.cost:
             break
         chosen.append(round_pick)
         remaining.discard(round_pick)

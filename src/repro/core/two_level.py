@@ -141,7 +141,6 @@ class _RawGroupEntry:
     intervals: np.ndarray
     outcomes: list[GroupOutcome]
     e_spot: np.ndarray  # (nb,) expected spot cost S*M*E[X]
-    e_wall: np.ndarray  # (nb,) expected wall time E[X]
     e_ratio: np.ndarray  # (nb,) expected recovery ratio E[Ratio]
     wall_max: float
     grids: dict = field(default_factory=dict)  # wall_hi -> (surv_ratio, surv_wall)
@@ -153,7 +152,6 @@ def _entry_to_arrays(entry: _RawGroupEntry, prefix: str) -> dict:
         prefix + "bids": entry.bids,
         prefix + "intervals": entry.intervals,
         prefix + "e_spot": entry.e_spot,
-        prefix + "e_wall": entry.e_wall,
         prefix + "e_ratio": entry.e_ratio,
         prefix + "wall_max": np.array([entry.wall_max]),
         prefix + "pmf": np.stack([o.pmf for o in entry.outcomes]),
@@ -210,7 +208,6 @@ def _entry_from_arrays(
             intervals=intervals,
             outcomes=outcomes,
             e_spot=arrays[prefix + "e_spot"],
-            e_wall=arrays[prefix + "e_wall"],
             e_ratio=arrays[prefix + "e_ratio"],
             wall_max=float(arrays[prefix + "wall_max"][0]),
         )
@@ -227,7 +224,6 @@ class _GroupTable:
     intervals: np.ndarray  # (nb,)
     outcomes: list[GroupOutcome]
     e_spot: np.ndarray  # (nb,) expected spot cost S*M*E[X]
-    e_wall: np.ndarray  # (nb,) expected wall time E[X]
     e_ratio: np.ndarray  # (nb,) expected recovery ratio E[Ratio]
     surv_ratio: np.ndarray  # (nb, RATIO_GRID) P(ratio >= midpoint)
     surv_wall: np.ndarray  # (nb, WALL_GRID)  P(wall  >= midpoint)
@@ -363,7 +359,6 @@ class TwoLevelOptimizer:
             intervals=intervals,
             outcomes=outcomes,
             e_spot=np.array([o.expected_spot_cost() for o in outcomes]),
-            e_wall=np.array([float(np.dot(o.pmf, o.wall)) for o in outcomes]),
             e_ratio=np.array([float(np.dot(o.pmf, o.ratios)) for o in outcomes]),
             wall_max=wall_max,
         )
@@ -499,7 +494,6 @@ class TwoLevelOptimizer:
                 entry.intervals,
                 entry.outcomes,
                 entry.e_spot,
-                entry.e_wall,
                 entry.e_ratio,
                 grids[0],
                 grids[1],
@@ -519,8 +513,8 @@ class TwoLevelOptimizer:
     def _sidecar_scope(self) -> Optional[str]:
         """Artifact key of this optimizer's search scope: the group
         tokens, the shared grid, and the on-demand scalars that enter
-        every score — but *not* the deadline or budget, which only
-        select among cached scores and never change them."""
+        every score — but *not* the deadline, which only selects among
+        cached scores and never changes them."""
         if self._store is None:
             return None
         if self._sidecar_key is None:
@@ -676,25 +670,20 @@ class TwoLevelOptimizer:
     # ------------------------------------------------------------------
     # Pruning bound
     # ------------------------------------------------------------------
-    def _subset_bound(self, tables: Sequence[_GroupTable], objective: str) -> float:
-        """Admissible lower bound on the subset's best exact score.
+    def _subset_bound(self, tables: Sequence[_GroupTable]) -> float:
+        """Admissible lower bound on the subset's best exact cost.
 
-        ``cost``: every combo pays at least each group's cheapest spot
-        bill, and the on-demand recovery term satisfies
+        Every combo pays at least each group's cheapest spot bill, and
+        the on-demand recovery term satisfies
         ``E[min_i R_i] >= prod_i E[R_i]`` (``min(a, b) >= a * b`` for
         values in ``[0, 1]``, then independence), so
         ``sum_i min_b e_spot + D * prod_i min_b E[R]`` is admissible.
-
-        ``time``: ``E[max_i X_i] >= E[X_i] >= min_b E[X_i(b)]`` for any
-        group, so the largest per-group floor is admissible.
         """
-        if objective == "cost":
-            spot_floor = sum(float(t.e_spot.min()) for t in tables)
-            ratio_floor = 1.0
-            for t in tables:
-                ratio_floor *= float(t.e_ratio.min())
-            return spot_floor + ratio_floor * self.ondemand.full_run_cost
-        return max(float(t.e_wall.min()) for t in tables)
+        spot_floor = sum(float(t.e_spot.min()) for t in tables)
+        ratio_floor = 1.0
+        for t in tables:
+            ratio_floor *= float(t.e_ratio.min())
+        return spot_floor + ratio_floor * self.ondemand.full_run_cost
 
     # ------------------------------------------------------------------
     # Subset optimization
@@ -702,21 +691,17 @@ class TwoLevelOptimizer:
     def optimize_subset(
         self,
         group_indices: Sequence[int],
-        objective: str = "cost",
-        budget: Optional[float] = None,
         prune_above: Optional[float] = None,
         bound: Optional[float] = None,
     ) -> Optional[SubsetResult]:
         """Best (bids, intervals) for this subset, or ``None`` if no bid
-        combination satisfies the constraint in exact evaluation.
+        combination meets the deadline in exact evaluation.
 
-        ``objective="cost"`` (the paper's problem): minimise expected
-        cost subject to expected time <= deadline.  ``objective="time"``
-        (the dual, budget-constrained problem): minimise expected time
-        subject to expected cost <= ``budget``.
+        The paper's problem: minimise expected cost subject to expected
+        time <= deadline.
 
-        ``prune_above`` is an incumbent score (best feasible cost/time
-        found so far by the caller's subset traversal): when the subset's
+        ``prune_above`` is an incumbent score (best feasible cost found
+        so far by the caller's subset traversal): when the subset's
         admissible lower bound cannot beat it, the whole evaluation is
         skipped and ``None`` is returned.  Because the bound is a true
         lower bound on the *exact* score, a pruned subset could never
@@ -734,10 +719,6 @@ class TwoLevelOptimizer:
             raise ConfigurationError("subset must contain at least one group")
         if len(set(indices)) != len(indices):
             raise ConfigurationError(f"duplicate groups in subset {indices}")
-        if objective not in ("cost", "time"):
-            raise ConfigurationError(f"unknown objective {objective!r}")
-        if objective == "time" and budget is None:
-            raise ConfigurationError("objective='time' requires a budget")
         self._build_tables()
         tables = [self._tables[i] for i in indices]
         sizes = [t.n_bids for t in tables]
@@ -749,7 +730,7 @@ class TwoLevelOptimizer:
 
         if prune_above is not None:
             if bound is None:
-                bound = self._subset_bound(tables, objective)
+                bound = self._subset_bound(tables)
             if bound >= prune_above * (1.0 + _PRUNE_MARGIN) + 1e-12:
                 self.subsets_pruned += 1
                 return None
@@ -757,34 +738,24 @@ class TwoLevelOptimizer:
         candidates: list[tuple[float, float, tuple[int, ...]]] = []
 
         for batch, cost, time in self._scored_batches(
-            tables, sizes, total, objective, prune_above
+            tables, sizes, total, prune_above
         ):
-            if objective == "cost":
-                constraint, score = time, cost
-                limit = self.problem.deadline
-            else:
-                constraint, score = cost, time
-                limit = budget
             # Keep a slightly generous feasibility margin; the exact
             # re-evaluation below is the authority.
-            feasible = np.flatnonzero(constraint <= limit * 1.02 + 1e-9)
+            feasible = np.flatnonzero(time <= self.problem.deadline * 1.02 + 1e-9)
             if feasible.size > _EXACT_FALLBACK_TRIES:
-                top = np.argpartition(score[feasible], _EXACT_FALLBACK_TRIES)
+                top = np.argpartition(cost[feasible], _EXACT_FALLBACK_TRIES)
                 feasible = feasible[top[:_EXACT_FALLBACK_TRIES]]
             for c in feasible:
-                candidates.append((float(score[c]), float(cost[c]), tuple(batch[c])))
+                candidates.append((float(cost[c]), tuple(batch[c])))
 
         if not candidates:
             return None
         candidates.sort(key=lambda item: item[0])
-        for _score, _cost, combo in candidates[:_EXACT_FALLBACK_TRIES]:
+        for _cost, combo in candidates[:_EXACT_FALLBACK_TRIES]:
             outcomes = [t.outcomes[b] for t, b in zip(tables, combo)]
             exact = self._evaluate_exact(tables, combo, outcomes)
-            ok = (
-                exact.meets_deadline(self.problem.deadline)
-                if objective == "cost"
-                else exact.cost <= budget + 1e-9
-            )
+            ok = exact.meets_deadline(self.problem.deadline)
             if ok and self.config.max_miss_probability is not None:
                 from .chance import miss_probability
 
@@ -812,14 +783,13 @@ class TwoLevelOptimizer:
         tables: Sequence[_GroupTable],
         sizes: Sequence[int],
         total: int,
-        objective: str,
         prune_above: Optional[float],
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(batch, cost, time)`` score vectors for the subset.
 
         Single-batch subsets (the common case) are served from / stored
         into the shared score cache, because the score vectors depend
-        only on the group tables — not on deadline or budget.  Whole
+        only on the group tables — not on the deadline.  Whole
         batches whose *separable* spot cost already exceeds the incumbent
         are skipped before the grid products: every combination they
         contain has exact cost >= its spot cost, and their approximate
@@ -842,11 +812,7 @@ class TwoLevelOptimizer:
             cost_spot = np.zeros(batch.shape[0])
             for g, table in enumerate(tables):
                 cost_spot += table.e_spot[batch[:, g]]
-            if (
-                prune_above is not None
-                and objective == "cost"
-                and float(cost_spot.min()) >= prune_above
-            ):
+            if prune_above is not None and float(cost_spot.min()) >= prune_above:
                 # Applies to cacheable batches too (lazy fill): the
                 # cache entry simply stays unfilled until some caller
                 # actually needs the full score vectors, so a cold

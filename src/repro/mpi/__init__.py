@@ -1,27 +1,17 @@
-"""Simulated MPI runtime and profiling substrate.
+"""Analytic MPI cost model: the Section 4.4 profiling substrate.
 
-Two layers:
-
-* **Analytic** — :mod:`~repro.mpi.network` (LogGP-style link parameters
-  per cluster configuration), :mod:`~repro.mpi.collectives` (textbook
-  collective-algorithm cost formulas) and :mod:`~repro.mpi.timing` (the
-  Section 4.4 estimator: execution time = CPU + network + IO given a
-  TAU-like application profile).  This layer feeds the optimizer the
-  ``T_i``, ``O_i`` and ``R_i`` parameters it needs per instance type.
-* **Discrete-event** — :mod:`~repro.mpi.communicator` and
-  :mod:`~repro.mpi.runtime` execute real rank programs (generator
-  coroutines doing sends/recvs/collectives/compute/IO) on the
-  :mod:`repro.sim` engine, recording the same profile counters.  The NPB
-  models in :mod:`repro.apps` run on it, which is how profiles are
-  *collected* rather than invented.
+:mod:`~repro.mpi.network` (LogGP-style link parameters per cluster
+configuration), :mod:`~repro.mpi.collectives` (textbook
+collective-algorithm cost formulas) and :mod:`~repro.mpi.timing` (the
+Section 4.4 estimator: execution time = CPU + network + IO given a
+TAU-like :mod:`~repro.mpi.profile`).  This is what feeds the optimizer
+the ``T_i``, ``O_i`` and ``R_i`` parameters it needs per instance type.
 """
 
 from .network import ClusterShape, NetworkModel
 from .profile import ApplicationProfile, CollectiveCounts
 from .collectives import collective_time, COLLECTIVE_ALGORITHMS
 from .timing import estimate_execution_hours, estimate_checkpoint, CheckpointProfile
-from .communicator import SimCommunicator
-from .runtime import MPIRuntime, RunStats
 
 __all__ = [
     "ClusterShape",
@@ -33,7 +23,4 @@ __all__ = [
     "estimate_execution_hours",
     "estimate_checkpoint",
     "CheckpointProfile",
-    "SimCommunicator",
-    "MPIRuntime",
-    "RunStats",
 ]

@@ -18,9 +18,8 @@ scatter/gather    binomial tree               ``log2 p alpha + n beta (p-1)/p``
 ================  ==========================  =============================
 
 For ``allgather``/``alltoall``, ``n`` is the *total* per-process buffer
-(each peer receives ``n/p``).  The same formulas serve the analytic
-timing estimator and the discrete-event communicator, so the two layers
-agree by construction.
+(each peer receives ``n/p``).  These formulas are the collective term
+of the analytic timing estimator.
 """
 
 from __future__ import annotations

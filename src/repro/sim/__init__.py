@@ -1,26 +1,13 @@
-"""Discrete-event simulation engine.
+"""Reproducible randomness.
 
-A small, dependency-free discrete-event kernel in the style of SimPy:
-
-* :class:`~repro.sim.engine.Engine` — a heap-ordered event loop.
-* :class:`~repro.sim.process.Process` — generator-coroutine processes that
-  ``yield`` timeouts and events.
-* :mod:`~repro.sim.rng` — named, reproducibly-seeded random streams.
-
-The MPI runtime (:mod:`repro.mpi`) and the hybrid spot/on-demand executor
-(:mod:`repro.exec`) are both built on this kernel.
+:mod:`~repro.sim.rng` — named, reproducibly-seeded random streams that
+the market presets, the experiments and the backtest harness draw
+from.
 """
 
-from .engine import Engine, Event, Timeout
-from .process import Process, ProcessExit
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
-    "Engine",
-    "Event",
-    "Timeout",
-    "Process",
-    "ProcessExit",
     "RngRegistry",
     "derive_seed",
 ]

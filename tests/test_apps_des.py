@@ -8,19 +8,13 @@ import pytest
 
 from repro.apps import BT, BTIO, FT, IS, LU, SP, LAMMPS
 from repro.cloud.instance_types import get_instance_type
-from repro.mpi.runtime import MPIRuntime
+from tests.oracles import mpi_runtime
 
 C3 = get_instance_type("c3.xlarge")
 
 
 def run_app(app, n=4, iterations=3, scale=1e-7):
-    runtime = MPIRuntime(
-        C3,
-        n,
-        lambda mpi: app.rank_program(mpi, iterations=iterations, scale=scale),
-        name=app.name,
-    )
-    return runtime.run()
+    return mpi_runtime.run_app(app, C3, n, iterations=iterations, scale=scale)
 
 
 @pytest.mark.parametrize("cls", [BT, SP, LU, FT, IS, BTIO, LAMMPS])

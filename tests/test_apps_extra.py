@@ -5,8 +5,8 @@ import pytest
 from repro.apps import CG, MG, EXTRA_APPS, make_app
 from repro.apps.base import WorkloadCategory
 from repro.cloud.instance_types import get_instance_type
-from repro.mpi.runtime import MPIRuntime
 from repro.mpi.timing import estimate_execution_hours
+from tests.oracles.mpi_runtime import run_app
 
 C3 = get_instance_type("c3.xlarge")
 
@@ -55,21 +55,13 @@ class TestShapes:
 class TestRankPrograms:
     @pytest.mark.parametrize("cls", [CG, MG])
     def test_runs_on_des_runtime(self, cls):
-        app = cls(n_processes=4)
-        runtime = MPIRuntime(
-            C3, 4, lambda mpi: app.rank_program(mpi, iterations=2, scale=1e-5)
-        )
-        stats = runtime.run()
+        stats = run_app(cls(n_processes=4), C3, 4, iterations=2, scale=1e-5)
         assert stats.wall_seconds > 0
         # allreduced result agrees across ranks
         assert len(set(stats.rank_results)) == 1
 
     def test_cg_uses_sendrecv_without_deadlock(self):
-        app = CG(n_processes=8)
-        runtime = MPIRuntime(
-            C3, 8, lambda mpi: app.rank_program(mpi, iterations=3, scale=1e-5)
-        )
-        stats = runtime.run()
+        stats = run_app(CG(n_processes=8), C3, 8, iterations=3, scale=1e-5)
         assert stats.profile.p2p_messages > 0
 
 

@@ -570,15 +570,13 @@ class TestGridEvalParity:
         tables = [opt.group_table(i) for i in range(3)]
         min_spot = np.array([t.e_spot.min() for t in tables])
         min_ratio = np.array([t.e_ratio.min() for t in tables])
-        min_wall = np.array([t.e_wall.min() for t in tables])
         for size in (1, 2, 3):
             subsets = list(combinations(range(3), size))
-            cost_b, time_b = grid_eval.subset_bounds(
-                min_spot, min_ratio, min_wall,
+            cost_b = grid_eval.subset_bounds(
+                min_spot, min_ratio,
                 np.array(subsets, dtype=np.intp), od.full_run_cost,
             )
             for row, subset in enumerate(subsets):
                 chosen = [tables[i] for i in subset]
-                assert float(cost_b[row]) == opt._subset_bound(chosen, "cost")
-                assert float(time_b[row]) == opt._subset_bound(chosen, "time")
+                assert float(cost_b[row]) == opt._subset_bound(chosen)
         clear_shared_caches()

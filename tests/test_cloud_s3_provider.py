@@ -1,15 +1,12 @@
-"""S3 store, on-demand instance and provider facade tests."""
+"""S3 store and on-demand instance tests."""
 
 import pytest
 
 from repro.cloud.billing import HOURLY
 from repro.cloud.instance_types import get_instance_type
 from repro.cloud.ondemand import OnDemandInstance
-from repro.cloud.provider import CloudProvider
 from repro.cloud.s3 import S3Store
-from repro.errors import CheckpointError, ConfigurationError
-from repro.market.history import MarketKey, SpotPriceHistory
-from repro.market.presets import build_history
+from repro.errors import CheckpointError
 from repro.units import BYTES_PER_GB
 
 
@@ -61,30 +58,3 @@ class TestOnDemand:
         inst = OnDemandInstance(get_instance_type("m1.small"))
         with pytest.raises(ValueError):
             inst.cost(1.0, count=-1)
-
-
-class TestProvider:
-    @pytest.fixture
-    def provider(self) -> CloudProvider:
-        return CloudProvider(history=build_history(48.0, seed=2))
-
-    def test_markets_enumerated(self, provider):
-        assert len(provider.markets()) == 12
-
-    def test_spot_driver(self, provider):
-        key = MarketKey("m1.medium", "us-east-1b")
-        run = provider.spot(key).run(bid=99.0, requested_at=0.0)
-        assert run.launched
-
-    def test_validate_market(self, provider):
-        key = MarketKey("m1.medium", "us-east-1a")
-        assert provider.validate_market(key) == key
-
-    def test_validate_rejects_unknown_zone(self, provider):
-        with pytest.raises(ConfigurationError):
-            provider.validate_market(MarketKey("m1.medium", "eu-west-9z"))
-
-    def test_validate_rejects_missing_history(self):
-        provider = CloudProvider(history=SpotPriceHistory())
-        with pytest.raises(ConfigurationError):
-            provider.validate_market(MarketKey("m1.medium", "us-east-1a"))

