@@ -24,7 +24,10 @@ in the same order, elementwise.  Concretely:
   subset order) stay sequential per position, so the float operation
   order is unchanged;
 * winner selection replicates the scalar incumbent loop — strict
-  comparison against the running best, first winner kept.
+  comparison against the running best, first winner kept;
+* row reductions run along each row's own contiguous axis, so
+  :func:`subset_score_sums` can walk its rows in tiles through reused
+  buffers and still match the one-shot expression it replaced.
 
 ``KERNEL_ORACLES`` declares the scalar reference of every public
 function and ``tests/test_batch_parity.py`` pins exact equality on
@@ -54,7 +57,13 @@ KERNEL_ORACLES = {
     "outcome_grid": "repro.core.cost_model.GroupOutcome.from_pmf",
     "optimal_interval_grid": "repro.core.interval.optimal_interval",
     "subset_bounds": "repro.core.two_level.TwoLevelOptimizer._subset_bound",
+    "subset_score_sums": "tests.oracles.subset_scores.subset_score_sums",
 }
+
+#: Row cap of one :func:`subset_score_sums` tile: each of its three
+#: ``(tile, 256)`` float64 buffers stays within 0.5 MB however many
+#: combos a batch holds.
+_SCORE_TILE = 256
 
 
 def bid_matrix_rows(
@@ -201,3 +210,65 @@ def subset_bounds(
         spot += np.asarray(min_spot, dtype=float)[idx[:, j]]
         ratio *= np.asarray(min_ratio, dtype=float)[idx[:, j]]
     return spot + ratio * full_run_cost
+
+
+def subset_score_sums(
+    tables: Sequence, batch: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-combo quadrature sums of one subset's approximate score.
+
+    ``tables`` are the subset's group tables in subset order, each with
+    ``surv_ratio`` ``(nb, R)`` and ``below_wall = 1 - surv_wall``
+    ``(nb, W)`` rows; ``batch`` is a ``(C, k)`` matrix of bid-row
+    indices, one combo per row.  Returns ``(sum_r, sum_w)`` where
+    ``sum_r[c]`` sums ``prod_g surv_ratio`` and ``sum_w[c]`` sums
+    ``1 - prod_g below_wall`` over the grid, for combo ``c``.
+
+    The combos run in tiles of ``min(C, 256)`` rows through three
+    buffers allocated once per call, so no ``(C, grid)`` array is ever
+    built.  Bit-identical to the one-shot expression it replaced: the
+    first group is gathered straight into the product buffer
+    (``1.0 * x == x``), the others multiply in place in subset order,
+    and each row is summed along its own contiguous grid axis, so
+    neither the tile height nor ``C`` changes a result.  The gathers
+    use ``mode="clip"`` (``"raise"`` buffers ``out``); one range check
+    up front raises on any out-of-range index instead.
+    """
+    idx = np.asarray(batch, dtype=np.intp)
+    if idx.ndim != 2 or idx.shape[0] == 0 or idx.shape[1] != len(tables):
+        raise ConfigurationError(
+            f"batch must be a non-empty (C, {len(tables)}) index matrix"
+        )
+    top = idx.max(axis=0).tolist()
+    if idx.min() < 0 or any(
+        hi >= t.surv_ratio.shape[0] for hi, t in zip(top, tables)
+    ):
+        raise IndexError("combo index out of range of its group table")
+    cols = np.ascontiguousarray(idx.T)
+    n_combos = idx.shape[0]
+    n_r = tables[0].surv_ratio.shape[1]
+    n_w = tables[0].below_wall.shape[1]
+    tile = min(n_combos, _SCORE_TILE)
+    prod_r = np.empty((tile, n_r))
+    prod_w = np.empty((tile, n_w))
+    gathered = np.empty(tile * max(n_r, n_w))
+    sum_r = np.empty(n_combos)
+    sum_w = np.empty(n_combos)
+    for lo in range(0, n_combos, tile):
+        hi = min(lo + tile, n_combos)
+        n = hi - lo
+        r, w = prod_r[:n], prod_w[:n]
+        g_r = gathered[:n * n_r].reshape(n, n_r)
+        g_w = gathered[:n * n_w].reshape(n, n_w)
+        np.take(tables[0].surv_ratio, cols[0, lo:hi], axis=0, out=r, mode="clip")
+        np.take(tables[0].below_wall, cols[0, lo:hi], axis=0, out=w, mode="clip")
+        for g in range(1, len(tables)):
+            rows = cols[g, lo:hi]
+            np.take(tables[g].surv_ratio, rows, axis=0, out=g_r, mode="clip")
+            r *= g_r
+            np.take(tables[g].below_wall, rows, axis=0, out=g_w, mode="clip")
+            w *= g_w
+        r.sum(axis=1, out=sum_r[lo:hi])
+        np.subtract(1.0, w, out=w)
+        w.sum(axis=1, out=sum_w[lo:hi])
+    return sum_r, sum_w

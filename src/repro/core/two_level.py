@@ -15,7 +15,8 @@ once** with NumPy broadcasting:
 * ``E[max_i X_i]`` is a product of per-(group, bid) CDF rows likewise,
 
 so one subset evaluation is a handful of ``(combos, grid)`` array
-products instead of ``(L+1)**k`` python-level model evaluations.  The
+products (run tile by tile in :func:`.grid_eval.subset_score_sums`)
+instead of ``(L+1)**k`` python-level model evaluations.  The
 grid introduces a small quadrature error, so the winning combination is
 re-evaluated exactly (and, if the exact check violates the deadline, the
 next-best candidates are tried in order).
@@ -45,6 +46,7 @@ on, off (``REPRO_ARTIFACT_DIR=""``), deleted or corrupted mid-run.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Tuple
@@ -143,7 +145,9 @@ class _RawGroupEntry:
     e_spot: np.ndarray  # (nb,) expected spot cost S*M*E[X]
     e_ratio: np.ndarray  # (nb,) expected recovery ratio E[Ratio]
     wall_max: float
-    grids: dict = field(default_factory=dict)  # wall_hi -> (surv_ratio, surv_wall)
+    # wall_hi -> (surv_ratio, surv_wall, below_wall); below_wall is
+    # 1 - surv_wall, derived on load and never persisted.
+    grids: dict = field(default_factory=dict)
 
 
 def _entry_to_arrays(entry: _RawGroupEntry, prefix: str) -> dict:
@@ -227,6 +231,7 @@ class _GroupTable:
     e_ratio: np.ndarray  # (nb,) expected recovery ratio E[Ratio]
     surv_ratio: np.ndarray  # (nb, RATIO_GRID) P(ratio >= midpoint)
     surv_wall: np.ndarray  # (nb, WALL_GRID)  P(wall  >= midpoint)
+    below_wall: np.ndarray  # (nb, WALL_GRID)  1 - surv_wall
     token: str = ""
 
     @property
@@ -463,7 +468,8 @@ class TwoLevelOptimizer:
                 for i in missing
             ):
                 for i in missing:
-                    grids = (arrays[f"g{i}_ratio"], arrays[f"g{i}_wall"])
+                    surv_wall = arrays[f"g{i}_wall"]
+                    grids = (arrays[f"g{i}_ratio"], surv_wall, 1.0 - surv_wall)
                     grids_map[i] = grids
                     entries[i].grids[wall_hi] = grids
                 missing = []
@@ -477,7 +483,7 @@ class TwoLevelOptimizer:
                 for b, o in enumerate(entry.outcomes):
                     surv_ratio[b] = _survival_rows(o.ratios, o.pmf, ratio_mid)
                     surv_wall[b] = _survival_rows(o.wall, o.pmf, wall_mid)
-                grids_map[i] = (surv_ratio, surv_wall)
+                grids_map[i] = (surv_ratio, surv_wall, 1.0 - surv_wall)
                 entry.grids[wall_hi] = grids_map[i]
             if grids_key is not None:
                 arrays = {}
@@ -495,8 +501,7 @@ class TwoLevelOptimizer:
                 entry.outcomes,
                 entry.e_spot,
                 entry.e_ratio,
-                grids[0],
-                grids[1],
+                *grids,
                 entry.token,
             )
         self._grids_ready = True
@@ -722,7 +727,7 @@ class TwoLevelOptimizer:
         self._build_tables()
         tables = [self._tables[i] for i in indices]
         sizes = [t.n_bids for t in tables]
-        total = int(np.prod(sizes))
+        total = math.prod(sizes)
         # Counts the search-space coverage (the paper's "bid combinations
         # traversed"), not the arithmetic actually performed — pruned and
         # cache-served combinations are still logically covered.
@@ -735,8 +740,8 @@ class TwoLevelOptimizer:
                 self.subsets_pruned += 1
                 return None
 
-        candidates: list[tuple[float, float, tuple[int, ...]]] = []
-
+        cand_cost: list[np.ndarray] = []
+        cand_rows: list[np.ndarray] = []
         for batch, cost, time in self._scored_batches(
             tables, sizes, total, prune_above
         ):
@@ -746,13 +751,18 @@ class TwoLevelOptimizer:
             if feasible.size > _EXACT_FALLBACK_TRIES:
                 top = np.argpartition(cost[feasible], _EXACT_FALLBACK_TRIES)
                 feasible = feasible[top[:_EXACT_FALLBACK_TRIES]]
-            for c in feasible:
-                candidates.append((float(cost[c]), tuple(batch[c])))
+            cand_cost.append(cost[feasible])
+            cand_rows.append(batch[feasible])
 
-        if not candidates:
+        costs = np.concatenate(cand_cost) if cand_cost else np.empty(0)
+        if costs.size == 0:
             return None
-        candidates.sort(key=lambda item: item[0])
-        for _cost, combo in candidates[:_EXACT_FALLBACK_TRIES]:
+        # A stable sort over the candidates in collection order: ties
+        # keep batch order, then argpartition order, as a stable list
+        # sort of per-candidate tuples would.
+        order = np.argsort(costs, kind="stable")[:_EXACT_FALLBACK_TRIES]
+        for row in np.concatenate(cand_rows)[order].tolist():
+            combo = tuple(row)
             outcomes = [t.outcomes[b] for t, b in zip(tables, combo)]
             exact = self._evaluate_exact(tables, combo, outcomes)
             ok = exact.meets_deadline(self.problem.deadline)
@@ -797,6 +807,13 @@ class TwoLevelOptimizer:
         every candidate that could still beat the incumbent — dropping
         them cannot change which combination the exact fallback returns
         to the traversal.
+
+        The grid products run in :func:`repro.core.grid_eval.subset_score_sums`,
+        which walks each batch in tiles of at most 256 combos through
+        buffers it reuses, gathering ``surv_ratio`` and the cached
+        ``below_wall`` rows of each table.  Its per-combo sums are
+        bit-identical to the one-shot ``(C, grid)`` expression kept in
+        ``tests/oracles/subset_scores.py`` (DESIGN.md §8).
         """
         cache_key = None
         if total <= _MAX_BATCH:
@@ -818,14 +835,9 @@ class TwoLevelOptimizer:
                 # actually needs the full score vectors, so a cold
                 # cache never pays for grid products a warm one skips.
                 continue
-            surv_r = np.ones((batch.shape[0], _RATIO_GRID))
-            prod_below_w = np.ones((batch.shape[0], _WALL_GRID))
-            for g, table in enumerate(tables):
-                rows = batch[:, g]
-                surv_r *= table.surv_ratio[rows]
-                prod_below_w *= 1.0 - table.surv_wall[rows]
-            e_min_ratio = self._ratio_delta * surv_r.sum(axis=1)
-            e_max_wall = self._wall_delta * (1.0 - prod_below_w).sum(axis=1)
+            sum_r, sum_w = grid_eval.subset_score_sums(tables, batch)
+            e_min_ratio = self._ratio_delta * sum_r
+            e_max_wall = self._wall_delta * sum_w
             cost = cost_spot + e_min_ratio * self.ondemand.full_run_cost
             time = e_max_wall + e_min_ratio * self.ondemand.exec_time
             if cache_key is not None:
@@ -869,7 +881,7 @@ def _combo_batches(sizes: Sequence[int], max_batch: int):
     decodes flat indices arithmetically instead of materialising python
     tuples, so even huge spaces stream as pure array work.
     """
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
     k = len(sizes)
     if total <= max_batch:
         grids = np.indices(sizes).reshape(k, total).T

@@ -1,0 +1,27 @@
+"""One-shot subset scoring: the parity oracle of the tiled score kernel.
+
+This is the expression ``TwoLevelOptimizer._scored_batches`` evaluated
+before :func:`repro.core.grid_eval.subset_score_sums` replaced it: two
+``(C, grid)`` product arrays started from ``np.ones``, one fresh
+fancy-indexed gather per group, and one row sum each at the end.  It
+allocates several ``(C, grid)`` arrays per call, which is why production
+no longer runs it; the parity tests demand that the tiled kernel match
+it bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.two_level import _RATIO_GRID, _WALL_GRID
+
+
+def subset_score_sums(tables, batch):
+    """``(sum_r, sum_w)`` per combo row of ``batch`` over ``tables``."""
+    surv_r = np.ones((batch.shape[0], _RATIO_GRID))
+    prod_below_w = np.ones((batch.shape[0], _WALL_GRID))
+    for g, table in enumerate(tables):
+        rows = batch[:, g]
+        surv_r *= table.surv_ratio[rows]
+        prod_below_w *= 1.0 - table.surv_wall[rows]
+    return surv_r.sum(axis=1), (1.0 - prod_below_w).sum(axis=1)

@@ -26,6 +26,7 @@ from repro.core.grid_eval import (
     bid_matrix_rows,
     optimal_interval_grid,
     outcome_grid,
+    subset_score_sums,
 )
 from repro.core.interval import (
     _interval_candidates,
@@ -46,6 +47,9 @@ from repro.units import BYTES_PER_GB
 from tests.conftest import make_group
 from tests.oracles.market_generator import sample_grid_reference
 from tests.oracles.scalar_replay import replay_decision, replay_window
+from tests.oracles.subset_scores import (
+    subset_score_sums as subset_scores_oracle,
+)
 
 SEEDS = (3, 17, 91)
 
@@ -536,15 +540,12 @@ class TestGridEvalParity:
                 # sequential strict-inequality incumbent rule.
                 assert got == ref
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_subset_bounds_matches_scalar_subset_bound(self, seed, tmp_path):
-        from itertools import combinations
-
+    @staticmethod
+    def _three_group_optimizer(seed, tmp_path):
+        """A planner over three generated markets, its tables built."""
         from repro.config import DEFAULT_CONFIG
-        from repro.core import grid_eval
         from repro.core.two_level import TwoLevelOptimizer
 
-        clear_shared_caches()
         g1 = make_group(exec_time=6.0, overhead=0.4, recovery=0.5)
         g2 = dataclasses.replace(
             make_group(zone="us-east-1b", exec_time=6.0, overhead=0.3,
@@ -566,7 +567,17 @@ class TestGridEvalParity:
                 gen.generate(300.0), step_hours=1.0
             )
         config = DEFAULT_CONFIG.with_(artifact_dir=str(tmp_path))
-        opt = TwoLevelOptimizer(problem, models, od, config)
+        return TwoLevelOptimizer(problem, models, od, config)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_subset_bounds_matches_scalar_subset_bound(self, seed, tmp_path):
+        from itertools import combinations
+
+        from repro.core import grid_eval
+
+        clear_shared_caches()
+        opt = self._three_group_optimizer(seed, tmp_path)
+        od = opt.ondemand
         tables = [opt.group_table(i) for i in range(3)]
         min_spot = np.array([t.e_spot.min() for t in tables])
         min_ratio = np.array([t.e_ratio.min() for t in tables])
@@ -580,3 +591,102 @@ class TestGridEvalParity:
                 chosen = [tables[i] for i in subset]
                 assert float(cost_b[row]) == opt._subset_bound(chosen)
         clear_shared_caches()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_subset_score_sums_on_planner_tables(self, seed, tmp_path):
+        from itertools import permutations
+
+        from repro.core.two_level import _combo_batches
+
+        clear_shared_caches()
+        opt = self._three_group_optimizer(seed, tmp_path)
+        tables = [opt.group_table(i) for i in range(3)]
+        for size in (1, 2, 3):
+            for subset in permutations(range(3), size):
+                chosen = [tables[i] for i in subset]
+                (batch,) = _combo_batches([t.n_bids for t in chosen], 1 << 20)
+                assert_sums_bitwise_equal(
+                    subset_score_sums(chosen, batch),
+                    subset_scores_oracle(chosen, batch),
+                )
+        clear_shared_caches()
+
+
+def assert_sums_bitwise_equal(got, want):
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@dataclasses.dataclass
+class _ScoreTable:
+    """The three grid attributes the subset scorers read."""
+
+    surv_ratio: np.ndarray
+    surv_wall: np.ndarray
+
+    @property
+    def below_wall(self):
+        return 1.0 - self.surv_wall
+
+
+def adversarial_table(rng, n_bids, width=256):
+    """Grid rows in [0, 1] salted with exact 0.0/1.0 and subnormals."""
+    tiny = np.array([0.0, 1.0, 5e-324, 2.2e-308, 1e-310, 1.0 - 2**-53])
+
+    def grid():
+        g = rng.uniform(0.0, 1.0, size=(n_bids, width))
+        salt = rng.random(g.shape) < 0.2
+        g[salt] = rng.choice(tiny, size=int(salt.sum()))
+        return g
+
+    return _ScoreTable(grid(), grid())
+
+
+class TestSubsetScoreParity:
+    """The tiled subset scorer against the one-shot expression it
+    replaced (``tests/oracles/subset_scores.py``), bit for bit."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n_combos", (1, 7, 49, 255, 256, 257, 2401))
+    def test_tiled_matches_one_shot(self, n_combos, k):
+        rng = np.random.default_rng(1000 * k + n_combos)
+        n_bids = rng.integers(1, 9, size=k)
+        tables = [adversarial_table(rng, int(nb)) for nb in n_bids]
+        batch = np.stack(
+            [rng.integers(0, nb, size=n_combos) for nb in n_bids], axis=1
+        )
+        assert_sums_bitwise_equal(
+            subset_score_sums(tables, batch),
+            subset_scores_oracle(tables, batch),
+        )
+
+    def test_rows_do_not_depend_on_batch_height(self):
+        rng = np.random.default_rng(5)
+        tables = [adversarial_table(rng, 7) for _ in range(3)]
+        batch = rng.integers(0, 7, size=(600, 3))
+        whole = subset_score_sums(tables, batch)
+        for lo, hi in ((0, 1), (3, 260), (255, 600), (599, 600)):
+            part = subset_score_sums(tables, batch[lo:hi])
+            assert_sums_bitwise_equal(part, tuple(w[lo:hi] for w in whole))
+
+    @pytest.mark.parametrize("bad", (7, 8, -1))
+    def test_out_of_range_index_raises(self, bad):
+        rng = np.random.default_rng(11)
+        tables = [adversarial_table(rng, 7) for _ in range(2)]
+        batch = rng.integers(0, 7, size=(300, 2))
+        batch[299, 1] = bad
+        with pytest.raises(IndexError):
+            subset_score_sums(tables, batch)
+
+    def test_malformed_batch_rejected(self):
+        from repro.errors import ConfigurationError
+
+        rng = np.random.default_rng(12)
+        tables = [adversarial_table(rng, 4) for _ in range(2)]
+        for batch in (np.zeros((0, 2), dtype=np.intp),
+                      np.zeros((5, 3), dtype=np.intp),
+                      np.zeros(5, dtype=np.intp)):
+            with pytest.raises(ConfigurationError):
+                subset_score_sums(tables, batch)

@@ -94,3 +94,70 @@ class TestBatchedOptimizationEquivalence:
         assert streamed.intervals == single.intervals
         assert streamed.expectation == single.expectation
         assert streamed.combos_evaluated == single.combos_evaluated
+
+
+def duplicated_table(table, token):
+    """``table`` with every bid row repeated, so combos tie on cost."""
+    rows = np.repeat(np.arange(table.n_bids), 2)
+    return two_level._GroupTable(
+        group_index=table.group_index,
+        bids=table.bids[rows],
+        intervals=table.intervals[rows],
+        outcomes=[table.outcomes[r] for r in rows],
+        e_spot=table.e_spot[rows],
+        e_ratio=table.e_ratio[rows],
+        surv_ratio=table.surv_ratio[rows],
+        surv_wall=table.surv_wall[rows],
+        below_wall=table.below_wall[rows],
+        token=token,
+    )
+
+
+class TestExactFallbackOrder:
+    """Candidates reach the exact re-evaluation in the order a stable
+    sort by approximate cost gives after each batch's argpartition —
+    ties included, single-batch and streamed alike."""
+
+    @pytest.mark.parametrize("max_batch", [None, 50])
+    def test_tied_candidates_keep_reference_order(
+        self, setup, monkeypatch, max_batch
+    ):
+        problem, models, od, cfg = setup
+        clear_shared_caches()
+        if max_batch is not None:
+            monkeypatch.setattr(two_level, "_MAX_BATCH", max_batch)
+        opt = TwoLevelOptimizer(problem, models, od, cfg)
+        opt._build_tables()
+        for i in range(3):
+            opt._tables[i] = duplicated_table(opt._tables[i], f"dup{i}")
+        tables = [opt._tables[i] for i in range(3)]
+        sizes = [t.n_bids for t in tables]
+        total = int(np.prod(sizes))
+        limit = problem.deadline * 1.02 + 1e-9
+        tries = two_level._EXACT_FALLBACK_TRIES
+
+        reference = []
+        n_batches = 0
+        for batch, cost, time in opt._scored_batches(tables, sizes, total, None):
+            n_batches += 1
+            feasible = np.flatnonzero(time <= limit)
+            if feasible.size > tries:
+                top = np.argpartition(cost[feasible], tries)
+                feasible = feasible[top[:tries]]
+            reference += [(float(cost[c]), tuple(batch[c])) for c in feasible]
+        reference.sort(key=lambda item: item[0])
+        costs = [c for c, _ in reference[:tries]]
+        assert n_batches == (1 if max_batch is None else -(-total // max_batch))
+        assert len(set(costs)) < len(costs)  # the cut holds real ties
+
+        seen = []
+        infeasible = two_level.Expectation(*([float("inf")] * 7))
+
+        def record(self, tables, combo, outcomes):
+            seen.append(combo)
+            return infeasible
+
+        monkeypatch.setattr(TwoLevelOptimizer, "_evaluate_exact", record)
+        assert opt.optimize_subset((0, 1, 2)) is None
+        assert seen == [combo for _, combo in reference[:tries]]
+        clear_shared_caches()
