@@ -1,26 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-fix audit bench bench-full experiments quick clean-pyc
+.PHONY: test lint audit bench bench-full experiments quick clean-pyc
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 ## reprolint static invariants (DESIGN.md §9): fails on any new
-## (non-baselined) finding; reprolint_baseline.json grandfathers the
-## documented exact float comparisons and nothing else.  Warm reruns
-## replay from the content-hash cache; reprolint.sarif feeds CI's
-## inline PR annotations.
+## (non-baselined) finding and, with --strict, on any stale baseline
+## entry (delete it from the file by hand); reprolint_baseline.json
+## grandfathers the documented exact float comparisons and nothing
+## else.  Warm reruns replay from the content-hash cache;
+## reprolint.sarif feeds CI's inline PR annotations.
 lint:
 	$(PYTHON) -m repro.analysis src benchmarks --baseline reprolint_baseline.json \
-		--cache --sarif reprolint.sarif
-
-## Apply mechanically-safe autofixes (suffix renames, zero guards,
-## sorted() wraps) and scaffold TODO-marked inline suppressions for
-## whatever remains — every TODO must be justified before review.
-lint-fix:
-	$(PYTHON) -m repro.analysis src benchmarks --baseline reprolint_baseline.json \
-		--fix --fix-suppress
+		--cache --sarif reprolint.sarif --strict
 
 ## Tier-1 tests with repro.obs audit mode on: every replay/adaptive
 ## result must reconcile against its cost ledger or the suite fails.

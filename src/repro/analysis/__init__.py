@@ -2,21 +2,19 @@
 
 A self-contained static-analysis pass (stdlib ``ast`` only, no imports
 of the simulation code) that rejects whole classes of the bugs the
-runtime suites catch late or not at all: unseeded randomness in
-deterministic packages, unregistered memo caches, dollars-vs-hours unit
-mixing, vectorized kernels without scalar oracles/parity tests, bare
-float equality, swallowed exceptions, unaudited cost ledgers,
-unregistered experiment modules, and docstrings whose declared units
+runtime suites catch late or not at all: randomness and clock reads
+that do not descend from the root seed, unregistered memo caches,
+dollars-vs-hours unit mixing, bare float equality, swallowed
+exceptions, unaudited cost ledgers, and docstrings whose declared units
 contradict the name-suffix convention.  DESIGN.md §9 documents the rule
 set and workflow.
 
 The v2 engine is whole-program: every lint builds a
 :class:`~.project.ProjectGraph` (import graph, symbol tables, call
 graph) when any selected rule needs it, unit dimensions flow through an
-intraprocedural dataflow lattice (:mod:`.dataflow`), a content-hash
-cache (:mod:`.cache`) replays findings for unchanged files — including
-a fully-warm path that parses nothing — and mechanically-safe findings
-carry autofix hints applied by ``--fix`` (:mod:`.fixers`).
+intraprocedural dataflow lattice (:mod:`.dataflow`), and a
+content-hash cache (:mod:`.cache`) replays findings for unchanged files,
+including a fully-warm path that parses nothing.
 
 Run it as ``python -m repro.analysis [paths]`` or ``make lint``.
 Programmatic entry points:
@@ -32,7 +30,6 @@ from .baseline import Baseline, BaselineEntry, DEFAULT_BASELINE_NAME
 from .cache import DEFAULT_CACHE_NAME, LintCache
 from .engine import LintContext, LintResult, ModuleUnit, load_unit, run_lint
 from .findings import Finding, Severity
-from .fixers import FixReport, fix_paths
 from .project import ProjectGraph
 from .registry import RULES, Rule, get_rules, register
 
@@ -42,7 +39,6 @@ __all__ = [
     "DEFAULT_BASELINE_NAME",
     "DEFAULT_CACHE_NAME",
     "Finding",
-    "FixReport",
     "LintCache",
     "LintContext",
     "LintResult",
@@ -51,7 +47,6 @@ __all__ = [
     "RULES",
     "Rule",
     "Severity",
-    "fix_paths",
     "get_rules",
     "load_unit",
     "register",

@@ -7,14 +7,8 @@ Beyond plain linting the CLI drives the v2 engine features:
 
 * ``--cache [PATH]`` — content-hash incremental cache; a warm run with
   nothing changed replays every finding without parsing a file.
-* ``--fix`` / ``--fix-suppress`` — apply mechanically-safe autofixes
-  (suffix renames, zero-guard rewrites), optionally scaffolding inline
-  suppressions for what remains; idempotence is enforced by re-linting
-  the rewritten tree (:mod:`.fixers`).
 * ``--sarif PATH`` / ``--format sarif`` — SARIF 2.1.0 output for CI
   inline annotations.
-* ``--prune-baseline`` — drop stale baseline entries so the file only
-  ever shrinks as violations are fixed.
 * ``--changed [BASE]`` — git-aware edit-loop mode: report findings for
   the files that differ from ``BASE`` (default ``HEAD``) plus untracked
   files.  The *whole* tree is still analysed — the project graph and
@@ -75,35 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore any baseline file",
     )
     parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit "
-        "(reasons default to TODO markers that must be edited)",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop baseline entries nothing matched this run and "
-        "rewrite the file (the baseline shrinks, never grows)",
-    )
-    parser.add_argument(
         "--cache", nargs="?", type=Path, const=Path(DEFAULT_CACHE_NAME),
         default=None, metavar="PATH",
         help="use the incremental lint cache "
         f"(default path: <root>/{DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="file-read thread-pool size (default: cpu count, max 8)",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanically-safe autofixes (suffix renames, "
-        "zero-guard rewrites) before reporting; re-lints until stable",
-    )
-    parser.add_argument(
-        "--fix-suppress", action="store_true",
-        help="with --fix semantics, additionally scaffold inline "
-        "suppression comments (with TODO reasons) for findings no "
-        "autofix can handle",
     )
     parser.add_argument(
         "--select", default=None,
@@ -148,21 +117,16 @@ def main(argv: list[str] | None = None) -> int:
     root = (args.root or Path.cwd()).resolve()
     baseline_path = args.baseline or (root / DEFAULT_BASELINE_NAME)
 
-    def load_baseline():
-        """Fresh Baseline per lint pass (claiming is stateful)."""
-        if args.no_baseline or args.write_baseline:
-            return None
-        if baseline_path.is_file():
-            return Baseline.load(baseline_path)
-        if args.baseline is not None:
-            raise ConfigurationError(f"baseline {baseline_path} not found")
-        return None
-
-    try:
-        load_baseline()  # surface config errors before any work
-    except ConfigurationError as exc:
-        print(f"reprolint: {exc}", file=sys.stderr)
-        return 2
+    baseline = None
+    if not args.no_baseline:
+        try:
+            if baseline_path.is_file():
+                baseline = Baseline.load(baseline_path)
+            elif args.baseline is not None:
+                raise ConfigurationError(f"baseline {baseline_path} not found")
+        except ConfigurationError as exc:
+            print(f"reprolint: {exc}", file=sys.stderr)
+            return 2
 
     paths = [Path(p) for p in args.paths]
     cache_path = None
@@ -173,7 +137,6 @@ def main(argv: list[str] | None = None) -> int:
 
     cache_write = True
     changed_scope = None
-    fix_targets = paths
     if args.changed is not None:
         try:
             changed = _changed_files(root, args.changed)
@@ -199,76 +162,21 @@ def main(argv: list[str] | None = None) -> int:
                 file=out,
             )
             return 0
-        fix_targets = in_scope
         cache_write = False
 
     try:
-        if args.fix or args.fix_suppress:
-            from .fixers import fix_paths
-
-            fix_report = fix_paths(
-                fix_targets, root=root, rules=rules,
-                baseline_factory=load_baseline,
-                suppress=args.fix_suppress,
-            )
-            for edit in fix_report.applied:
-                print(
-                    f"fixed {edit.path}:{edit.line}: [{edit.op}] {edit.detail}",
-                    file=out,
-                )
-            for edit in fix_report.refused:
-                print(
-                    f"skipped {edit.path}:{edit.line}: [{edit.op}] "
-                    f"{edit.detail}",
-                    file=out,
-                )
-            print(
-                f"reprolint --fix: {len(fix_report.applied)} fix(es) in "
-                f"{len(fix_report.files_changed)} file(s) over "
-                f"{fix_report.passes} pass(es); "
-                f"{fix_report.remaining} finding(s) remain",
-                file=out,
-            )
-
-        baseline = load_baseline()
         result = run_lint(
             paths,
             root=root,
             rules=rules,
             baseline=baseline,
             cache_path=cache_path,
-            jobs=args.jobs,
             cache_write=cache_write,
             changed_scope=changed_scope,
         )
     except FileNotFoundError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.dump(result.findings, baseline_path)
-        print(
-            f"reprolint: wrote {len(result.findings)} entr(y/ies) to "
-            f"{baseline_path}; fill in the reasons before committing",
-            file=out,
-        )
-        return 0
-
-    if args.prune_baseline:
-        stale = len(result.stale_baseline)
-        if stale:
-            Baseline.dump_entries(
-                _kept_entries(baseline_path, result), baseline_path
-            )
-            print(
-                f"reprolint: pruned {stale} stale entr(y/ies) from "
-                f"{baseline_path}",
-                file=out,
-            )
-        else:
-            print(
-                f"reprolint: no stale entries in {baseline_path}", file=out
-            )
 
     if args.sarif is not None:
         sarif_path = (
@@ -328,22 +236,6 @@ def _restrict_to(
                 out.append(path)
                 break
     return out
-
-
-def _kept_entries(baseline_path: Path, result):
-    """Baseline entries that were claimed this run, in file order."""
-    baseline = Baseline.load(baseline_path)
-    stale_keys = {}
-    for entry in result.stale_baseline:
-        stale_keys[entry.key] = stale_keys.get(entry.key, 0) + 1
-    kept = []
-    for entry in reversed(baseline.entries):
-        if stale_keys.get(entry.key, 0) > 0:
-            stale_keys[entry.key] -= 1
-        else:
-            kept.append(entry)
-    kept.reverse()
-    return kept
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .findings import Finding
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 DEFAULT_CACHE_NAME = ".reprolint_cache.json"
 
 #: Analysis phases folded into the engine fingerprint.  Adding a phase

@@ -28,6 +28,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from .symbols import dotted_name, own_exprs
+
 MONEY = "dollars"
 HOURS = "hours"
 SECONDS = "seconds"
@@ -40,7 +42,7 @@ _HOURS_WORDS = frozenset({"hours", "hour", "hrs", "hr"})
 _SECONDS_WORDS = frozenset({"seconds", "secs", "sec"})
 
 #: Name suffixes that pin a function's return dimension (also used by
-#: R009's docstring cross-check and the ``--fix`` suffix renamer).
+#: R009's docstring cross-check).
 RETURN_SUFFIXES = {
     "_usd": MONEY,
     "_dollars": MONEY,
@@ -50,9 +52,6 @@ RETURN_SUFFIXES = {
     "_s": SECONDS,
     "_seconds": SECONDS,
 }
-
-#: Canonical suffix per dimension, for rename suggestions.
-CANONICAL_SUFFIX = {MONEY: "_usd", HOURS: "_hours", SECONDS: "_s"}
 
 
 def classify_name(name: str) -> Optional[str]:
@@ -185,7 +184,6 @@ class UnitIssue:
     lineno: int
     col: int
     message: str
-    fix: Optional[dict] = None  # autofix hint (see analysis.fixers)
 
 
 def _is_number(node: ast.AST) -> bool:
@@ -194,18 +192,6 @@ def _is_number(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(
         node.value, (int, float)
     ) and not isinstance(node.value, bool)
-
-
-def _call_name(node: ast.Call) -> str:
-    parts: List[str] = []
-    fn = node.func
-    while isinstance(fn, ast.Attribute):
-        parts.append(fn.attr)
-        fn = fn.value
-    if isinstance(fn, ast.Name):
-        parts.append(fn.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 def default_call_resolver(name: str) -> Optional[str]:
@@ -302,7 +288,7 @@ class ScopeAnalyzer:
         if isinstance(node, ast.UnaryOp):
             return self.infer(node.operand)
         if isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = dotted_name(node.func)
             return self.resolver(name) if name else None
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub)
@@ -375,7 +361,7 @@ class ScopeAnalyzer:
         calls (``obj.meth(x)``), where the receiver fills it — for a
         plain ``fn(a, b)`` the parameters align as written.
         """
-        name = _call_name(node)
+        name = dotted_name(node.func)
         if not name:
             return
         params = self.param_resolver(name)
@@ -415,18 +401,10 @@ class ScopeAnalyzer:
             and value_dim is not None
             and value_dim != declared
         ):
-            # Instance fields ("self.x" keys) are API-visible attributes:
-            # a rename hint would be unsafe outside this class, so the
-            # finding carries no autofix for them.
-            fix = None
-            if "." not in name:
-                fix = {"op": "rename", "name": name,
-                       "to": _rename_for(name, value_dim)}
             self.issues.append(UnitIssue(
                 "assign-suffix", node.lineno, node.col_offset,
                 f"{name!r} declares {declared} by suffix but is assigned a "
                 f"{value_dim}-dimensioned value",
-                fix=fix,
             ))
             # Trust the declared suffix downstream so one drift is one
             # finding, not a cascade at every later use.
@@ -561,14 +539,6 @@ def _block_bodies(stmt: ast.stmt) -> Iterator[List[ast.stmt]]:
         yield handler.body
 
 
-def _rename_for(name: str, dim: str) -> str:
-    """Suffix-corrected name for a variable holding ``dim`` values."""
-    for suffix in RETURN_SUFFIXES:
-        if name.endswith(suffix):
-            return name[: -len(suffix)] + CANONICAL_SUFFIX[dim]
-    return name + CANONICAL_SUFFIX[dim]
-
-
 def analyze_scope(
     body: List[ast.stmt],
     params: Tuple[str, ...] = (),
@@ -605,7 +575,7 @@ def analyze_scope(
 
 
 # ----------------------------------------------------------------------
-# entropy taint: seed derivations for R012
+# entropy taint: seed derivations for R001
 # ----------------------------------------------------------------------
 
 #: Calls whose dotted leaf is pure process entropy.  ``perf_counter``/
@@ -617,10 +587,10 @@ ENTROPY_CALL_LEAVES = frozenset(
 )
 
 #: Dotted wall-clock reads that make results run-dependent.  Defined
-#: here (not in R001, which re-exports it) because every entropy
-#: consumer — R001's syntactic ban, R012's worker contract, R014's
-#: lineage rule and the summary fixpoint — must agree on what a clock
-#: is; leaves alone don't work since ``history.today`` is not a clock.
+#: here because both entropy consumers — R001 (its syntactic ban and
+#: its seed-lineage check) and the summary fixpoint — must agree on
+#: what a clock is; leaves alone don't work since ``history.today`` is
+#: not a clock.
 BANNED_CLOCK_ATTRS = frozenset(
     {"time.time", "time.time_ns", "datetime.now", "datetime.utcnow",
      "datetime.today", "date.today", "datetime.datetime.now",
@@ -661,7 +631,6 @@ class EntropyTaint:
         self,
         params: Tuple[str, ...] = (),
         process_globals: Optional[set] = None,
-        clock_attrs: Optional[frozenset] = None,
         call_resolver: Optional[Callable[[str], Optional[str]]] = None,
         sink_param_resolver: Optional[
             Callable[[str], Optional[Tuple[Tuple[str, ...], frozenset]]]
@@ -671,9 +640,6 @@ class EntropyTaint:
         self.bound = set(params)  # locally bound, currently clean
         self.tainted: set = set()
         self.process_globals = process_globals or set()
-        self.clock_attrs = (
-            BANNED_CLOCK_ATTRS if clock_attrs is None else clock_attrs
-        )
         #: Interprocedural hooks, fed by the summary fixpoint
         #: (:mod:`.summaries`).  ``call_resolver(dotted)`` describes why
         #: a call's *return value* is entropy (the callee's summary says
@@ -704,9 +670,9 @@ class EntropyTaint:
                 if key is not None and key in self.tainted_fields:
                     return f"instance field {key!r} (assigned from process state)"
             elif isinstance(sub, ast.Call):
-                dotted = _call_name(sub)
+                dotted = dotted_name(sub.func)
                 leaf = dotted.rsplit(".", 1)[-1]
-                if dotted in self.clock_attrs or leaf in ENTROPY_CALL_LEAVES:
+                if dotted in BANNED_CLOCK_ATTRS or leaf in ENTROPY_CALL_LEAVES:
                     return f"{dotted}()"
                 if self.call_resolver is not None:
                     why = self.call_resolver(dotted)
@@ -718,18 +684,10 @@ class EntropyTaint:
         # Only this statement's own expressions: nested block bodies are
         # re-walked by run() *after* their preceding bindings apply, so
         # scanning them here would consult a stale environment.
-        own: List[ast.AST] = []
-        for fname, value in ast.iter_fields(stmt):
-            if fname in ("body", "orelse", "finalbody", "handlers"):
-                continue
-            if isinstance(value, ast.AST):
-                own.append(value)
-            elif isinstance(value, list):
-                own.extend(v for v in value if isinstance(v, ast.AST))
-        for sub in (s for expr in own for s in ast.walk(expr)):
+        for sub in (s for expr in own_exprs(stmt) for s in ast.walk(expr)):
             if not isinstance(sub, ast.Call):
                 continue
-            dotted = _call_name(sub)
+            dotted = dotted_name(sub.func)
             if dotted.rsplit(".", 1)[-1] not in SEED_SINK_LEAVES:
                 self._check_transitive_sink(sub, dotted)
                 continue
@@ -851,7 +809,6 @@ def all_param_names(fn_node: ast.AST) -> Tuple[str, ...]:
 def analyze_entropy(
     fn_node: ast.AST,
     process_globals: Optional[set] = None,
-    clock_attrs: Optional[frozenset] = None,
     call_resolver: Optional[Callable[[str], Optional[str]]] = None,
     sink_param_resolver: Optional[
         Callable[[str], Optional[Tuple[Tuple[str, ...], frozenset]]]
@@ -864,7 +821,6 @@ def analyze_entropy(
     taint = EntropyTaint(
         params=all_param_names(fn_node),
         process_globals=process_globals,
-        clock_attrs=clock_attrs,
         call_resolver=call_resolver,
         sink_param_resolver=sink_param_resolver,
         tainted_fields=tainted_fields,

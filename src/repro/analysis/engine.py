@@ -1,13 +1,13 @@
 """Lint driver: discovery, parsing, caching, rule dispatch.
 
 The engine is deliberately import-free of the hot simulation paths — it
-touches only ``ast``, ``pathlib``, ``concurrent.futures`` and the
-sibling lint modules, so ``make lint`` never pays (or perturbs) a model
-import.
+touches only ``ast``, ``pathlib`` and the sibling lint modules, so
+``make lint`` never pays (or perturbs) a model import.
 
 A run has four phases:
 
-1. **Read + hash** every discovered file (thread pool — this is I/O).
+1. **Read + hash** every discovered file (serially: a thread pool
+   measured slower than a plain loop on the repo's ~150 small files).
 2. **Cache gate** — with a cache attached and *nothing* changed (same
    engine fingerprint, same file set and hashes), every finding replays
    from the cache and no parsing happens at all.  Otherwise:
@@ -37,10 +37,8 @@ instead (:mod:`.baseline`).
 from __future__ import annotations
 
 import ast
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -97,9 +95,6 @@ class LintContext:
     escape: Optional["object"] = None  # EscapeAnalysis when a rule needs it
     summaries: Optional["object"] = None  # SummaryIndex when a rule needs it
     units: Dict[str, ModuleUnit] = field(default_factory=dict)  # by relpath
-
-    def unit_for(self, relpath: str) -> Optional[ModuleUnit]:
-        return self.units.get(relpath)
 
 
 @dataclass
@@ -187,23 +182,11 @@ def discover(paths: Iterable[Path]) -> List[Path]:
     return sorted(out)
 
 
-def _default_jobs() -> int:
-    return min(8, (os.cpu_count() or 2))
-
-
-def _read_all(
-    files: Sequence[Path], jobs: int
-) -> List[Tuple[Path, bytes, Optional[OSError]]]:
-    def read_one(path: Path):
-        try:
-            return (path, path.read_bytes(), None)
-        except OSError as exc:  # surfaced as FileNotFoundError by discover
-            return (path, b"", exc)
-
-    if jobs <= 1 or len(files) < 4:
-        return [read_one(p) for p in files]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(read_one, files))
+def _read(path: Path) -> Tuple[Path, bytes, Optional[OSError]]:
+    try:
+        return (path, path.read_bytes(), None)
+    except OSError as exc:  # surfaced as FileNotFoundError by parse_one
+        return (path, b"", exc)
 
 
 def run_lint(
@@ -212,17 +195,15 @@ def run_lint(
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
     cache_path: Optional[Path] = None,
-    jobs: Optional[int] = None,
     cache_write: bool = True,
     changed_scope: Optional[Iterable[str]] = None,
 ) -> LintResult:
     """Lint ``paths`` and reconcile findings against ``baseline``.
 
-    ``cache_path`` attaches the incremental cache (:mod:`.cache`);
-    ``jobs`` bounds the file-read thread pool (default: cpu count,
-    capped at 8); parsing is serial.  ``cache_write=False`` replays from a warm cache but
-    never persists the run — used by ``--changed``, whose partial view
-    must not overwrite a whole-tree snapshot.
+    ``cache_path`` attaches the incremental cache (:mod:`.cache`).
+    ``cache_write=False`` replays from a warm cache but never persists
+    the run — used by ``--changed``, whose partial view must not
+    overwrite a whole-tree snapshot.
 
     ``changed_scope`` is the ``--changed`` contract: ``paths`` still
     name the *whole* tree (so the project graph and summaries see every
@@ -244,14 +225,13 @@ def run_lint(
 
     root = Path(root) if root is not None else Path.cwd()
     rules = list(rules) if rules is not None else get_rules()
-    jobs = jobs if jobs is not None else _default_jobs()
     need_graph = any(r.needs_graph for r in rules)
     file_rules = [r for r in rules if r.scope == "file" and not r.uses_project]
     graph_file_rules = [r for r in rules if r.scope == "file" and r.uses_project]
     project_rules = [r for r in rules if r.scope == "project"]
 
     files = discover(paths)
-    reads = _read_all(files, jobs)
+    reads = [_read(p) for p in files]
     rels = {path: _relpath(path, root) for path, _, _ in reads}
     hashes = {rels[path]: content_hash(data) for path, data, _ in reads}
 
@@ -483,7 +463,7 @@ def _finish(
     matched: List[Finding] = []
     for finding in raw:
         if baseline.claim(finding):
-            matched.append(_rebuild_baselined(finding))
+            matched.append(replace(finding, baselined=True))
         else:
             new.append(finding)
     return LintResult(
@@ -493,18 +473,4 @@ def _finish(
         files_checked=files_checked,
         cache_mode=cache_mode,
         files_replayed=files_replayed,
-    )
-
-
-def _rebuild_baselined(finding: Finding) -> Finding:
-    return Finding(
-        rule=finding.rule,
-        severity=finding.severity,
-        path=finding.path,
-        line=finding.line,
-        col=finding.col,
-        message=finding.message,
-        code=finding.code,
-        baselined=True,
-        fix=finding.fix,
     )

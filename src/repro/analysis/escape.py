@@ -319,7 +319,7 @@ class EscapeAnalysis:
     def written_globals(self, module: str) -> Set[str]:
         """Module-level names of ``module`` written by *any* function.
 
-        This is process-scoped mutable state: R012 treats reads of these
+        This is process-scoped mutable state: R001 treats reads of these
         names inside seed derivations as entropy (a counter bumped per
         call seeds differently per process), while never-written module
         constants stay clean.

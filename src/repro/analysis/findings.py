@@ -36,9 +36,6 @@ class Finding:
     message: str
     code: str = ""  # stripped source line (baseline matching key)
     baselined: bool = field(default=False, compare=False)
-    #: Structured autofix hint consumed by :mod:`.fixers` (``--fix``);
-    #: e.g. ``{"op": "rename", "name": "wall_hours", "to": "wall_s"}``.
-    fix: dict = field(default=None, compare=False)  # type: ignore[assignment]
 
     @property
     def sort_key(self) -> tuple:
@@ -51,7 +48,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {tag} {self.message}{suffix}"
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "rule": self.rule,
             "severity": self.severity.value,
             "path": self.path,
@@ -61,9 +58,6 @@ class Finding:
             "code": self.code,
             "baselined": self.baselined,
         }
-        if self.fix:
-            out["fix"] = self.fix
-        return out
 
     @classmethod
     def from_json(cls, raw: dict) -> "Finding":
@@ -77,5 +71,4 @@ class Finding:
             message=raw["message"],
             code=raw.get("code", ""),
             baselined=bool(raw.get("baselined", False)),
-            fix=raw.get("fix"),
         )

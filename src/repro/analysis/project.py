@@ -3,8 +3,8 @@
 Built once per lint run from every parsed module, then handed to rules
 through :class:`~.engine.LintContext`: per-file rules consult it for
 cross-module facts (callee return dimensions, re-exports) and
-project-scope rules (R007 ledger-audit coverage, R008 experiment
-registry) traverse it directly.
+project-scope rules (R007 ledger-audit coverage, R001 seed lineage)
+traverse it directly.
 
 Resolution is deliberately best-effort and *under*-approximate: a call
 the resolver cannot attribute (dynamic dispatch, higher-order plumbing)
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -143,10 +142,6 @@ class ProjectGraph:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def functions_in(self, relpath: str) -> List[FunctionInfo]:
-        syms = self.by_relpath.get(relpath)
-        return list(syms.functions.values()) if syms else []
-
     def imports_module(self, importer: str, imported: str) -> bool:
         return imported in self.import_edges.get(importer, set())
 
@@ -167,11 +162,6 @@ class ProjectGraph:
             out.add(key)
             frontier.extend(self.callers.get(key, ()))
         return out
-
-    def find_functions(
-        self, predicate: Callable[[FunctionInfo], bool]
-    ) -> List[FunctionInfo]:
-        return [f for f in self.functions.values() if predicate(f)]
 
     # ------------------------------------------------------------------
     # condensation

@@ -94,7 +94,6 @@ class Rule:
         line: int,
         col: int,
         message: str,
-        fix: dict = None,
     ) -> Finding:
         """Build a finding for this rule at ``(line, col)`` of ``unit``."""
         code = ""
@@ -108,7 +107,6 @@ class Rule:
             col=col,
             message=message,
             code=code,
-            fix=fix,
         )
 
 
@@ -154,7 +152,7 @@ def in_benchmarks(relpath: str) -> bool:
     """True when ``relpath`` lies under a ``benchmarks/`` directory.
 
     The benchmark suite is figure-generation and measurement code: it
-    must stay deterministic (R001/R012) and honest about comparisons
+    must stay deterministic (R001) and honest about comparisons
     and failures (R005/R006), but it is not library API — docstring
     unit contracts (R003/R009) do not apply there.
     """

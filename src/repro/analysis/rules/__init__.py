@@ -11,13 +11,10 @@ from . import (  # noqa: F401
     r005_float_eq,
     r006_exceptions,
     r007_ledger_audit,
-    r008_registry,
     r009_doc_units,
     r010_worker_globals,
     r011_shm_lifecycle,
-    r012_stateless_jobs,
     r013_pid_guards,
-    r014_rng_lineage,
     r015_ordered_reduction,
     r016_fail_open,
 )

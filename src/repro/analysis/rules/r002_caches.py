@@ -29,6 +29,7 @@ from typing import Iterator, List, Set
 
 from ..findings import Finding
 from ..registry import Rule, in_packages, register
+from ..symbols import leaf_name
 
 CACHE_PACKAGES = ("core", "execution", "market", "mpi")
 
@@ -50,23 +51,16 @@ def _is_poolish_value(node: ast.AST) -> bool:
     if _is_dictish(node):
         return True
     return isinstance(node, ast.Call) and bool(
-        _POOL_NAME_RE.search(_call_name(node))
+        _POOL_NAME_RE.search(leaf_name(node.func))
     )
-
-
-def _call_name(node: ast.Call) -> str:
-    fn = node.func
-    if isinstance(fn, ast.Name):
-        return fn.id
-    if isinstance(fn, ast.Attribute):
-        return fn.attr
-    return ""
 
 
 def _is_dictish(node: ast.AST) -> bool:
     if isinstance(node, ast.Dict):
         return True
-    return isinstance(node, ast.Call) and _call_name(node) in _DICT_FACTORIES
+    return (
+        isinstance(node, ast.Call) and leaf_name(node.func) in _DICT_FACTORIES
+    )
 
 
 def _is_lru_decorated(fn: ast.AST) -> bool:
@@ -74,10 +68,7 @@ def _is_lru_decorated(fn: ast.AST) -> bool:
         return False
     for deco in fn.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else (
-            target.id if isinstance(target, ast.Name) else ""
-        )
-        if name in _LRU_DECORATORS:
+        if leaf_name(target) in _LRU_DECORATORS:
             return True
     return False
 
@@ -153,7 +144,7 @@ class RegisteredCaches(Rule):
                 referenced[node.name] = names
             elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 call = node.value
-                if _call_name(call) == "register_cache_clearer":
+                if leaf_name(call.func) == "register_cache_clearer":
                     for arg in call.args:
                         if isinstance(arg, ast.Name):
                             registered.add(arg.id)

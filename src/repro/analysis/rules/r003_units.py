@@ -18,8 +18,7 @@ Multiplication and division stay exempt — that is how rates and
 conversions legitimately work — and every fact is either confident or
 absent, so rates (``price_per_hour``) and unresolved calls never fire.
 Assignments that *contradict* the target's own suffix are reported once
-at the assignment (and carry a rename autofix hint for ``--fix``)
-instead of cascading at every later use.
+at the assignment instead of cascading at every later use.
 """
 
 from __future__ import annotations
@@ -152,6 +151,4 @@ class UnitsDiscipline(Rule):
 
     def _emit(self, unit, analysis: ScopeAnalyzer) -> Iterator[Finding]:
         for issue in analysis.issues:
-            yield self.finding(
-                unit, issue.lineno, issue.col, issue.message, fix=issue.fix
-            )
+            yield self.finding(unit, issue.lineno, issue.col, issue.message)

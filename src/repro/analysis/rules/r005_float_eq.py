@@ -27,37 +27,6 @@ def _is_float_literal(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
-def _zero_guard_fix(node: ast.Compare, op, lhs, rhs):
-    """Autofix hint for the one mechanically-safe shape: ``X ==/!= 0.0``.
-
-    Cost, hours and seconds quantities are non-negative by construction,
-    so ``X == 0.0`` means "no X" and is robustly ``X <= 0.0``, while
-    ``X != 0.0`` is ``X > 0.0``.  Only the canonical single-comparison
-    form with the literal on the right and everything on one line
-    qualifies; anything else keeps a hint-free finding.
-    """
-    if len(node.ops) != 1:
-        return None
-    if not (
-        isinstance(rhs, ast.Constant)
-        and isinstance(rhs.value, float)
-        # reprolint: disable=R005 -- matching the literal token 0.0 itself
-        and rhs.value == 0.0
-    ):
-        return None
-    if infer_dim(lhs) is None:
-        return None  # sign unknown: <=/> would not be equivalent
-    if not (lhs.end_lineno == rhs.lineno == node.lineno):
-        return None
-    return {
-        "op": "zero-guard",
-        "line": node.lineno,
-        "start": lhs.end_col_offset,
-        "end": rhs.col_offset,
-        "repl": "<=" if isinstance(op, ast.Eq) else ">",
-    }
-
-
 @register
 class FloatEquality(Rule):
     id = "R005"
@@ -87,7 +56,6 @@ class FloatEquality(Rule):
                         "exact ==/!= against a float literal; use a "
                         "tolerance, or document the exact sentinel and "
                         "suppress/baseline",
-                        fix=_zero_guard_fix(node, op, lhs, rhs),
                     )
                 elif (
                     infer_dim(lhs) == MONEY and infer_dim(rhs) == MONEY

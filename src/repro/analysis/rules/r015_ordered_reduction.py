@@ -22,9 +22,7 @@ Flagged reductions: ``sum``/``np.sum``, ``functools.reduce`` and
 either written inline or reached through a one-hop local binding
 (``names = set(...); total = sum(names)``).  Wrapping the iterable in
 ``sorted(...)`` pins the order and clears the fact; ``list(...)`` does
-not (it freezes the *current* nondeterministic order).  Where the
-iterable is syntactically a set or dict view on one line, the finding
-carries a ``wrap-sorted`` autofix hint for ``--fix``.
+not (it freezes the *current* nondeterministic order).
 
 ``math.fsum`` is deliberately exempt: it returns the correctly-rounded
 sum of the inputs, which is order-independent — wrapping its argument
@@ -39,6 +37,7 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from ..findings import Finding
 from ..registry import Rule, in_benchmarks, in_packages, register
+from ..symbols import leaf_name, own_exprs, walk_expr_shallow
 
 #: Packages under the bit-identity contract for accumulated floats.
 ORDERED_PACKAGES = ("core", "execution", "market", "backtest")
@@ -56,38 +55,6 @@ _FS_LEAVES = frozenset(
 
 #: Dict-view leaves (nondeterministic only on provably-dict receivers).
 _VIEW_LEAVES = frozenset({"values", "keys", "items"})
-
-
-def _leaf(node: ast.expr) -> str:
-    while isinstance(node, ast.Attribute):
-        return node.attr
-    return node.id if isinstance(node, ast.Name) else ""
-
-
-def _walk_shallow(node: ast.AST):
-    """Expression walk that skips lambdas and nested defs."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(
-            cur, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef,
-                  ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(cur))
-
-
-def _own_exprs(stmt: ast.stmt) -> List[ast.AST]:
-    own: List[ast.AST] = []
-    for fname, value in ast.iter_fields(stmt):
-        if fname in ("body", "orelse", "finalbody", "handlers"):
-            continue
-        if isinstance(value, ast.AST):
-            own.append(value)
-        elif isinstance(value, list):
-            own.extend(v for v in value if isinstance(v, ast.AST))
-    return own
 
 
 class _ScopeScan:
@@ -111,7 +78,7 @@ class _ScopeScan:
             return self.nondet.get(node.id)
         if not isinstance(node, ast.Call):
             return None
-        leaf = _leaf(node.func)
+        leaf = leaf_name(node.func)
         if leaf in _SET_LEAVES:
             return (
                 f"{leaf}(...) (iteration order is hash- and "
@@ -134,24 +101,9 @@ class _ScopeScan:
                 )
         return None
 
-    @staticmethod
-    def _fixable(node: ast.expr) -> bool:
-        """Whether a ``wrap-sorted`` hint is safe: a one-line set or
-        dict-view expression (filesystem calls may be generators a
-        caller expects lazily, and multi-line spans would need
-        reindenting — both refused)."""
-        if getattr(node, "end_lineno", None) != node.lineno:
-            return False
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            leaf = _leaf(node.func)
-            return leaf in _SET_LEAVES or leaf in _VIEW_LEAVES
-        return False
-
     # ----------------------------------------------------------- checks
     def _check_call(self, call: ast.Call) -> None:
-        leaf = _leaf(call.func)
+        leaf = leaf_name(call.func)
         arg_idx = _REDUCER_ARG.get(leaf)
         if arg_idx is None or len(call.args) <= arg_idx:
             return
@@ -161,19 +113,10 @@ class _ScopeScan:
         why = self._reason(iterable)
         if why is None:
             return
-        fix = None
-        if self._fixable(iterable):
-            fix = {
-                "op": "wrap-sorted",
-                "line": iterable.lineno,
-                "col": iterable.col_offset,
-                "end_col": iterable.end_col_offset,
-            }
         self.findings.append(self.rule.finding(
             self.unit, call.lineno, call.col_offset,
             f"{leaf}() folds {why}; float addition is not associative — "
             "wrap the iterable in sorted(...) to pin the fold order",
-            fix=fix,
         ))
 
     # -------------------------------------------------------- bindings
@@ -185,7 +128,7 @@ class _ScopeScan:
             self.nondet[name] = why
         elif isinstance(value, (ast.Dict, ast.DictComp)):
             self.dictlike.add(name)
-        elif isinstance(value, ast.Call) and _leaf(value.func) == "dict":
+        elif isinstance(value, ast.Call) and leaf_name(value.func) == "dict":
             self.dictlike.add(name)
 
     def run(self, body: List[ast.stmt]) -> "_ScopeScan":
@@ -194,8 +137,8 @@ class _ScopeScan:
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 continue  # nested scopes are scanned on their own
-            for expr in _own_exprs(stmt):
-                for sub in _walk_shallow(expr):
+            for expr in own_exprs(stmt):
+                for sub in walk_expr_shallow(expr):
                     if isinstance(sub, ast.Call):
                         self._check_call(sub)
             if isinstance(stmt, ast.Assign):
@@ -235,8 +178,7 @@ class OrderedReduction(Rule):
         "dict views of provably-dict receivers: float addition is not "
         "associative, so a hash- or OS-defined fold order changes the "
         "result in the last ulps run to run. sorted(...) pins the "
-        "order and clears the finding (list(...) does not); one-line "
-        "set/dict-view iterables carry a wrap-sorted autofix. "
+        "order and clears the finding (list(...) does not). "
         "math.fsum is exempt — correctly rounded, order-independent."
     )
     help_uri = "DESIGN.md#14-interprocedural-summaries"

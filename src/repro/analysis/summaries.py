@@ -55,7 +55,7 @@ from .dataflow import (
     suffix_dim,
 )
 from .project import FuncKey, ProjectGraph
-from .symbols import FunctionInfo
+from .symbols import FunctionInfo, dotted_name, own_exprs, walk_expr_shallow
 
 #: Iterations an SCC may take before we accept the last state.  Facts
 #: cross one call edge per sweep, so a cycle of N functions needs at
@@ -161,48 +161,6 @@ class ClassFacts:
 # ----------------------------------------------------------------------
 
 
-def _walk_expr_shallow(node: ast.AST):
-    """Walk an expression without entering lambdas or nested defs.
-
-    A lambda body runs when the lambda is *called*, somewhere else
-    entirely — attributing its calls to the enclosing statement would
-    over-report raises and sink flows at the wrong site.
-    """
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(
-            cur, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(cur))
-
-
-def _own_exprs(stmt: ast.stmt) -> List[ast.AST]:
-    """A statement's own expressions, excluding nested block bodies."""
-    own: List[ast.AST] = []
-    for fname, value in ast.iter_fields(stmt):
-        if fname in ("body", "orelse", "finalbody", "handlers"):
-            continue
-        if isinstance(value, ast.AST):
-            own.append(value)
-        elif isinstance(value, list):
-            own.extend(v for v in value if isinstance(v, ast.AST))
-    return own
-
-
-def _dotted(node: ast.AST) -> str:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 #: ``raise_resolver(call_node, dotted) -> frozenset`` of abstract
 #: exception facts the call may raise.
 RaiseResolver = Callable[[ast.Call, str], FrozenSet[str]]
@@ -217,9 +175,9 @@ def _handler_catches(handler: ast.ExceptHandler) -> Tuple[Set[str], bool]:
         return {OS_ERROR, EOF_ERROR}, True
     names: List[str] = []
     if isinstance(handler.type, ast.Tuple):
-        names = [_dotted(t).rsplit(".", 1)[-1] for t in handler.type.elts]
+        names = [dotted_name(t).rsplit(".", 1)[-1] for t in handler.type.elts]
     else:
-        names = [_dotted(handler.type).rsplit(".", 1)[-1]]
+        names = [dotted_name(handler.type).rsplit(".", 1)[-1]]
     caught: Set[str] = set()
     for name in names:
         if name in _CATCH_ALL_NAMES:
@@ -236,7 +194,7 @@ def _raise_facts(exc: ast.expr) -> FrozenSet[str]:
     node = exc
     if isinstance(node, ast.Call):
         node = node.func
-    leaf = _dotted(node).rsplit(".", 1)[-1]
+    leaf = dotted_name(node).rsplit(".", 1)[-1]
     if leaf in _OS_RAISE_NAMES:
         return frozenset({OS_ERROR})
     if leaf == "EOFError":
@@ -280,10 +238,10 @@ def escaping_raises(
                                f"explicit raise of {exc}")
             continue
         # Calls in this statement's own expressions.
-        for expr in _own_exprs(stmt):
-            for sub in _walk_expr_shallow(expr):
+        for expr in own_exprs(stmt):
+            for sub in walk_expr_shallow(expr):
                 if isinstance(sub, ast.Call):
-                    dotted = _dotted(sub.func)
+                    dotted = dotted_name(sub.func)
                     facts = resolver(sub, dotted)
                     out |= facts
                     if record:
@@ -350,7 +308,7 @@ class _SinkFlow:
 
     def _origins(self, node: ast.AST) -> Set[str]:
         out: Set[str] = set()
-        for sub in _walk_expr_shallow(node):
+        for sub in walk_expr_shallow(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 out |= self.env.get(sub.id, set())
         return out
@@ -363,11 +321,11 @@ class _SinkFlow:
                 self._bind(elt, origins)
 
     def _scan_calls(self, stmt: ast.stmt) -> None:
-        for expr in _own_exprs(stmt):
-            for sub in _walk_expr_shallow(expr):
+        for expr in own_exprs(stmt):
+            for sub in walk_expr_shallow(expr):
                 if not isinstance(sub, ast.Call):
                     continue
-                dotted = _dotted(sub.func)
+                dotted = dotted_name(sub.func)
                 leaf = dotted.rsplit(".", 1)[-1]
                 if leaf in SEED_SINK_LEAVES:
                     for arg in (*sub.args, *[k.value for k in sub.keywords]):
@@ -659,7 +617,7 @@ class SummaryIndex:
                 # The submitted callable runs in a worker; whatever
                 # escapes it resurfaces in this function when results
                 # are gathered.
-                entry_name = _dotted(call.args[0])
+                entry_name = dotted_name(call.args[0])
                 entry = (
                     self._graph.resolve_call(caller, entry_name)
                     if self._graph is not None

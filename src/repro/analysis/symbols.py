@@ -8,6 +8,10 @@ package), every function/method definition with the calls its body
 makes, and the module-level names it binds.  :mod:`.project` stitches
 these into import and call graphs.
 
+The small AST helpers every analysis shares live here too, one per job:
+:func:`dotted_name`, :func:`leaf_name`, :func:`walk_expr_shallow` and
+:func:`own_exprs`.
+
 Like the rest of the linter this is stdlib-``ast`` only and never
 imports the code under analysis.
 """
@@ -114,6 +118,44 @@ def dotted_name(node: ast.AST) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
+
+
+def leaf_name(node: ast.AST) -> str:
+    """Last segment of a Name/Attribute (``c`` for ``a.b.c``), else ``""``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def walk_expr_shallow(node: ast.AST):
+    """Walk an expression without entering lambdas or nested defs.
+
+    A lambda body runs when the lambda is *called*, somewhere else
+    entirely — attributing its calls to the enclosing statement would
+    over-report raises and sink flows at the wrong site.
+    """
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        if isinstance(
+            cur, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(cur))
+
+
+def own_exprs(stmt: ast.stmt) -> List[ast.AST]:
+    """A statement's own expressions, excluding nested block bodies."""
+    own: List[ast.AST] = []
+    for fname, value in ast.iter_fields(stmt):
+        if fname in ("body", "orelse", "finalbody", "handlers"):
+            continue
+        if isinstance(value, ast.AST):
+            own.append(value)
+        elif isinstance(value, list):
+            own.extend(v for v in value if isinstance(v, ast.AST))
+    return own
 
 
 def _resolve_relative(module: str, relpath: str, level: int, target: str) -> str:

@@ -54,6 +54,16 @@ def rule_ids(result):
     return [f.rule for f in result.findings]
 
 
+def write_baseline(path, findings, reason):
+    """Grandfather ``findings`` in a baseline file, as edited by hand."""
+    entries = [
+        {"rule": f.rule, "path": f.path, "line": f.line, "code": f.code,
+         "reason": reason}
+        for f in findings
+    ]
+    path.write_text(json.dumps({"version": 1, "entries": entries}))
+
+
 # ----------------------------------------------------------------------
 # R001 — no unseeded randomness
 # ----------------------------------------------------------------------
@@ -527,7 +537,7 @@ class TestFramework:
         result = lint_snippet(tmp_path, "import random\n", select=["R001"])
         assert len(result.findings) == 1
         baseline_path = tmp_path / "baseline.json"
-        Baseline.dump(result.findings, baseline_path, reason="grandfathered")
+        write_baseline(baseline_path, result.findings, "grandfathered")
         reloaded = Baseline.load(baseline_path)
         again = lint_snippet(
             tmp_path, "import random\n", select=["R001"], baseline=reloaded
@@ -540,7 +550,7 @@ class TestFramework:
     def test_baseline_survives_line_shift_but_not_code_change(self, tmp_path):
         result = lint_snippet(tmp_path, "import random\n", select=["R001"])
         baseline_path = tmp_path / "baseline.json"
-        Baseline.dump(result.findings, baseline_path, reason="grandfathered")
+        write_baseline(baseline_path, result.findings, "grandfathered")
         shifted = lint_snippet(
             tmp_path,
             "X = 1\n\nimport random\n",
@@ -590,9 +600,8 @@ class TestFramework:
     def test_every_rule_registered_with_description(self):
         rules = get_rules()
         assert [r.id for r in rules] == [
-            "R001", "R002", "R003", "R005", "R006",
-            "R007", "R008", "R009", "R010", "R011", "R012", "R013",
-            "R014", "R015", "R016",
+            "R001", "R002", "R003", "R005", "R006", "R007",
+            "R009", "R010", "R011", "R013", "R015", "R016",
         ]
         for rule in rules:
             assert rule.title and rule.description

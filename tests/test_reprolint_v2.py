@@ -4,15 +4,12 @@ Covers the layers PR 5 added on top of the per-file framework: the
 project graph (symbols, imports, call edges, reachability), the
 unit-dataflow lattice behind R003 — including the regression fixture
 proving the v1 suffix-only engine misses what the dataflow engine
-flags — the project-scope rules R007–R009, the ``--fix`` autofixer and
-its idempotence, the content-hash incremental cache, and the SARIF
-reporter round-trip.
+flags — the project-scope rule R007 and R009, the content-hash
+incremental cache, and the SARIF reporter round-trip.
 """
 
 import io
 import json
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -22,7 +19,6 @@ from repro.analysis import (
     Baseline,
     BaselineEntry,
     ProjectGraph,
-    fix_paths,
     get_rules,
     run_lint,
 )
@@ -252,9 +248,7 @@ class TestUnitDataflow:
             """,
         }, select=["R003"])
         assert rule_ids(result) == ["R003"]
-        assert result.findings[0].fix == {
-            "op": "rename", "name": "wall_s", "to": "wall_hours",
-        }
+        assert "'wall_s' declares seconds" in result.findings[0].message
 
     def test_rates_and_unknowns_stay_silent(self, tmp_path):
         result = lint_tree(tmp_path, {
@@ -439,51 +433,6 @@ class TestR007LedgerAudit:
 
 
 # ----------------------------------------------------------------------
-# R008 — experiment-registry hygiene
-# ----------------------------------------------------------------------
-_R008_BASE = {
-    "src/repro/experiments/runner.py": """
-        from repro.experiments import fig1_thing
-
-        def _all_experiments():
-            return [fig1_thing.run()]
-    """,
-    "src/repro/experiments/fig1_thing.py": """
-        def run():
-            return 1
-    """,
-    "src/repro/experiments/common.py": """
-        def shared():
-            return 0
-    """,
-}
-
-
-class TestR008Registry:
-    def test_orphan_experiment_flagged(self, tmp_path):
-        files = dict(_R008_BASE)
-        files["src/repro/experiments/fig2_orphan.py"] = """
-            def run():
-                return 2
-        """
-        result = lint_tree(tmp_path, files, select=["R008"])
-        assert rule_ids(result) == ["R008"]
-        assert result.findings[0].path == (
-            "src/repro/experiments/fig2_orphan.py"
-        )
-
-    def test_registered_and_infrastructure_quiet(self, tmp_path):
-        result = lint_tree(tmp_path, dict(_R008_BASE), select=["R008"])
-        assert result.findings == []
-
-    def test_silent_without_a_registry_in_scope(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/experiments/fig1_thing.py": "def run():\n    return 1\n",
-        }, select=["R008"])
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # R009 — docstring units vs suffix conventions
 # ----------------------------------------------------------------------
 class TestR009DocUnits:
@@ -542,112 +491,6 @@ class TestR009DocUnits:
             ''',
         }, select=["R009"])
         assert result.findings == []
-
-
-# ----------------------------------------------------------------------
-# --fix autofixer
-# ----------------------------------------------------------------------
-class TestFixers:
-    def test_rename_and_zero_guard_applied_and_idempotent(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/core/mod.py": """
-                def total(cost_usd):
-                    wall_hours = elapsed_s()
-                    if cost_usd == 0.0:
-                        return 0.0
-                    return wall_hours
-
-                def elapsed_s():
-                    return 3.0
-            """,
-        })
-        target = tmp_path / "src/repro/core/mod.py"
-        report = fix_paths(
-            [tmp_path / "src"], root=tmp_path,
-            rules=get_rules(["R003", "R005"]),
-        )
-        fixed = target.read_text()
-        assert "wall_s = elapsed_s()" in fixed
-        assert "cost_usd <= 0.0" in fixed
-        assert len(report.applied) == 2
-        # Idempotence is *checked*, not assumed: a second sweep applies
-        # nothing and the file is bit-identical.
-        again = fix_paths(
-            [tmp_path / "src"], root=tmp_path,
-            rules=get_rules(["R003", "R005"]),
-        )
-        assert again.applied == []
-        assert target.read_text() == fixed
-
-    def test_parameter_and_closure_renames_refused(self, tmp_path):
-        source = textwrap.dedent("""
-            def keep(t_hours):
-                t_hours = budget_usd()
-                return t_hours
-
-            def closure():
-                spend_hours = budget_usd()
-
-                def inner():
-                    return spend_hours
-                return inner()
-
-            def budget_usd():
-                return 1.0
-        """)
-        write_tree(tmp_path, {"src/repro/core/mod.py": source})
-        report = fix_paths(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"])
-        )
-        assert report.applied == []
-        assert len(report.refused) == 2
-        reasons = " | ".join(e.detail for e in report.refused)
-        assert "parameter" in reasons
-        assert "nested function" in reasons
-        assert (tmp_path / "src/repro/core/mod.py").read_text() == source
-
-    def test_fix_never_touches_baselined_findings(self, tmp_path):
-        source = textwrap.dedent("""
-            def sentinel(granularity_hours):
-                if granularity_hours == 0.0:
-                    return True
-                return False
-        """)
-        write_tree(tmp_path, {"src/repro/core/mod.py": source})
-        make_baseline = lambda: Baseline([BaselineEntry(
-            "R005", "src/repro/core/mod.py",
-            "if granularity_hours == 0.0:",
-            "documented sentinel: 0 means continuous billing",
-        )])
-        report = fix_paths(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R005"]),
-            baseline_factory=make_baseline,
-        )
-        assert report.applied == []
-        assert (tmp_path / "src/repro/core/mod.py").read_text() == source
-
-    def test_fix_suppress_scaffolds_and_relint_is_clean(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/repro/core/mod.py": """
-                def keep(t_hours):
-                    t_hours = budget_usd()
-                    return t_hours
-
-                def budget_usd():
-                    return 1.0
-            """,
-        })
-        report = fix_paths(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"]),
-            suppress=True,
-        )
-        text = (tmp_path / "src/repro/core/mod.py").read_text()
-        assert "# reprolint: disable=R003 -- TODO: justify" in text
-        assert report.remaining == 0
-        relint = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"])
-        )
-        assert relint.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -752,7 +595,7 @@ class TestSarif:
             r["id"]: i
             for i, r in enumerate(run["tool"]["driver"]["rules"])
         }
-        assert set(rule_index) >= {"R001", "R003", "R007", "R008", "R009"}
+        assert set(rule_index) >= {"R001", "R003", "R007", "R009"}
         new = [r for r in run["results"] if not r.get("suppressions")]
         suppressed = [r for r in run["results"] if r.get("suppressions")]
         assert len(new) == len(result.findings)
@@ -766,60 +609,6 @@ class TestSarif:
             assert run["tool"]["driver"]["rules"][res["ruleIndex"]][
                 "id"
             ] == finding.rule
-
-
-# ----------------------------------------------------------------------
-# CLI: --prune-baseline
-# ----------------------------------------------------------------------
-class TestPruneBaseline:
-    def run_cli(self, *args, cwd):
-        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
-        return subprocess.run(
-            [sys.executable, "-m", "repro.analysis", *args],
-            capture_output=True, text=True, cwd=cwd, env=env,
-        )
-
-    def test_prune_drops_only_stale_entries(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/core/mod.py": "import random\n"})
-        baseline_path = tmp_path / "reprolint_baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 1,
-            "entries": [
-                {"rule": "R001", "path": "src/repro/core/mod.py",
-                 "line": 1, "code": "import random",
-                 "reason": "still live — must survive the prune"},
-                {"rule": "R005", "path": "src/repro/core/gone.py",
-                 "line": 9, "code": "if x == 0.0:",
-                 "reason": "file was deleted — stale"},
-            ],
-        }))
-        proc = self.run_cli(
-            "src", "--root", str(tmp_path), "--prune-baseline", cwd=tmp_path
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "pruned 1 stale" in proc.stdout
-        after = json.loads(baseline_path.read_text())
-        assert len(after["entries"]) == 1
-        assert after["entries"][0]["rule"] == "R001"
-        assert "must survive" in after["entries"][0]["reason"]
-
-    def test_prune_noop_when_nothing_stale(self, tmp_path):
-        write_tree(tmp_path, {"src/repro/core/mod.py": "import random\n"})
-        baseline_path = tmp_path / "reprolint_baseline.json"
-        before = json.dumps({
-            "version": 1,
-            "entries": [
-                {"rule": "R001", "path": "src/repro/core/mod.py",
-                 "line": 1, "code": "import random", "reason": "live"},
-            ],
-        })
-        baseline_path.write_text(before)
-        proc = self.run_cli(
-            "src", "--root", str(tmp_path), "--prune-baseline", cwd=tmp_path
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "no stale entries" in proc.stdout
-        assert baseline_path.read_text() == before
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Tests for reprolint v3: process-safety & determinism analysis.
 
 Covers the escape analysis (boundary sites, worker-reachable closure,
-clearer sanctions), the four new rules R010–R013 with positive and
-negative fixtures, the container-element dataflow extension feeding
-R003/R012, the git-aware ``--changed`` CLI mode, the enriched SARIF
+clearer sanctions), the rules R010, R011 and R013 plus R001's
+worker-payload checks with positive and negative fixtures, the
+container-element dataflow extension feeding R003/R001, the git-aware ``--changed`` CLI mode, the enriched SARIF
 descriptors, and — most importantly — meta-tests that mutate copies of
 the *real* ``repro.execution`` modules and assert each rule fires on
 the exact broken line: the linter guards the code, so the tests guard
@@ -295,7 +295,7 @@ class TestR011ShmLifecycle:
 
 
 # ----------------------------------------------------------------------
-# R012 — stateless job payloads
+# R001 in worker-reachable code — stateless job payloads (formerly R012)
 # ----------------------------------------------------------------------
 class TestR012StatelessJobs:
     def test_flags_wall_clock_in_worker(self, tmp_path):
@@ -311,9 +311,9 @@ class TestR012StatelessJobs:
                     """,
                 "src/repro/execution/driver.py": DRIVER,
             },
-            select=["R012"],
+            select=["R001"],
         )
-        assert rule_ids(result) == ["R012"]
+        assert rule_ids(result) == ["R001"]
         assert "wall clock" in result.findings[0].message
 
     def test_applies_outside_r001_packages(self, tmp_path):
@@ -336,9 +336,33 @@ class TestR012StatelessJobs:
                         return [pool.submit(job, 0, c) for c in cells]
                     """,
             },
-            select=["R012"],
+            select=["R001"],
         )
-        assert rule_ids(result) == ["R012"]
+        assert rule_ids(result) == ["R001"]
+
+    def test_seeded_and_worker_reachable_site_fires_once(self, tmp_path):
+        # execution/ is a seeded package and job() is worker-reachable:
+        # the clock read that seeds the generator is one site, so it is
+        # one finding, attributed to the worker entry.
+        result = lint_project(
+            tmp_path,
+            {
+                "src/repro/execution/jobs.py": """
+                    import time
+
+                    import numpy as np
+
+                    def job(seed, cell):
+                        return np.random.default_rng(time.time())
+                    """,
+                "src/repro/execution/driver.py": DRIVER,
+            },
+            select=["R001"],
+        )
+        assert rule_ids(result) == ["R001"]
+        finding = result.findings[0]
+        assert finding.line == 7
+        assert "entry repro.execution.jobs.job" in finding.message
 
     def test_flags_pid_derived_seed(self, tmp_path):
         result = lint_project(
@@ -356,9 +380,9 @@ class TestR012StatelessJobs:
                     """,
                 "src/repro/execution/driver.py": DRIVER,
             },
-            select=["R012"],
+            select=["R001"],
         )
-        assert rule_ids(result) == ["R012"]
+        assert rule_ids(result) == ["R001"]
         assert "seed" in result.findings[0].message
 
     def test_flags_seedless_default_rng(self, tmp_path):
@@ -374,9 +398,9 @@ class TestR012StatelessJobs:
                     """,
                 "src/repro/execution/driver.py": DRIVER,
             },
-            select=["R012"],
+            select=["R001"],
         )
-        assert rule_ids(result) == ["R012"]
+        assert rule_ids(result) == ["R001"]
         assert "OS entropy" in result.findings[0].message
 
     def test_payload_unpacked_seed_is_clean(self, tmp_path):
@@ -394,22 +418,24 @@ class TestR012StatelessJobs:
                     """,
                 "src/repro/execution/driver.py": DRIVER,
             },
-            select=["R012"],
+            select=["R001"],
         )
         assert result.findings == []
 
     def test_unsubmitted_function_is_quiet(self, tmp_path):
+        # Outside the seeded packages only worker reachability brings a
+        # function into scope.
         result = lint_project(
             tmp_path,
             {
-                "src/repro/execution/jobs.py": """
+                "src/repro/apps/jobs.py": """
                     import time
 
                     def job(seed, cell):
                         return time.time()
                     """,
             },
-            select=["R012"],
+            select=["R001"],
         )
         assert result.findings == []
 
@@ -704,7 +730,7 @@ class TestSarifMetadata:
             assert desc["defaultConfiguration"]["level"] == rule.severity.value
             assert desc["helpUri"]
         # v3 rules link to the escape-analysis design section.
-        for rid in ("R010", "R011", "R012", "R013"):
+        for rid in ("R010", "R011", "R013"):
             assert by_id[rid]["helpUri"].endswith(
                 "#13-process-safety-escape-analysis"
             )
@@ -778,7 +804,7 @@ class TestMetaRealCode:
     def test_unmutated_copies_are_clean(self, tmp_path):
         paths, _ = self._copy_execution(tmp_path)
         result = self._lint(
-            tmp_path, paths, ["R010", "R011", "R012", "R013"]
+            tmp_path, paths, ["R001", "R010", "R011", "R013"]
         )
         assert result.findings == []
 
@@ -826,8 +852,8 @@ class TestMetaRealCode:
             "montecarlo.py": [(anchor, anchor + "\n" + inserted)],
         }
         paths, texts = self._copy_execution(tmp_path, mutations)
-        result = self._lint(tmp_path, paths, ["R012"])
-        assert rule_ids(result) == ["R012"]
+        result = self._lint(tmp_path, paths, ["R001"])
+        assert rule_ids(result) == ["R001"]
         finding = result.findings[0]
         assert finding.path.endswith("montecarlo.py")
         assert finding.line == self._line_of(
