@@ -1,25 +1,15 @@
 """Persistent worker-pool benchmark: spawn and warm-up amortization.
 
-Times the two costs ISSUE 8's pool exists to amortize, each against the
-honest pre-pool baseline:
-
-* **Monte-Carlo fan-out** — the old hot path built a fresh
-  ``ProcessPoolExecutor`` *and* a fresh shared-memory trace pool on
-  every ``evaluate_decision_mc(jobs=N)`` call, then tore both down.
-  The baseline here replicates that literally; the measured path is the
-  same replay through the persistent shared pool and the content-hash
-  shm registry.  The replay work is identical (and asserted identical),
-  so the ratio isolates pure per-call provisioning overhead.
-* **Backtest grid** — the ``backtest --quick`` workload three ways:
-  cold-boot serial (shared caches cleared *and* an empty artifact
-  store: what an unwarmed run — a fresh CI shard, a first run on a
-  machine — pays, table and sidecar builds included), cold-disk serial
-  (caches cleared, store warm: a fresh process after ``repro artifacts
-  warm``), and the warm persistent pool at ``jobs=4``.  Warm workers
-  keep their in-memory tables between requests, which is the
-  planning-as-a-service regime the ROADMAP names; the headline ratio is
-  warm-pool vs cold-boot — the per-run provisioning + warm-up cost this
-  PR's persistence amortizes away.
+Times the ``backtest --quick`` workload three ways: cold-boot serial
+(shared caches cleared *and* an empty artifact store: what an unwarmed
+run — a fresh CI shard, a first run on a machine — pays, table and
+sidecar builds included), cold-disk serial (caches cleared, store warm:
+a fresh process after ``repro artifacts warm``), and the warm
+persistent pool at ``jobs=4``.  Warm workers keep their in-memory
+tables between requests, which is the planning-as-a-service regime the
+ROADMAP names; the headline ratio is warm-pool vs cold-boot — the
+per-run provisioning + warm-up cost the pool's persistence amortizes
+away.
 
 Reports are asserted bit-identical across serial/parallel before any
 ratio is computed, and every timing is the best of ``_REPEATS`` runs.
@@ -34,133 +24,24 @@ import pathlib
 import tempfile
 import time
 
-import numpy as np
-
 from repro.backtest import build_manifest, run_backtest
-from repro.cloud.instance_types import get_instance_type
-from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
 from repro.core.two_level import clear_shared_caches
-from repro.execution.montecarlo import (
-    _replay_chunk,
-    _replay_chunk_shm,
-    replay_many,
-    sample_start_times,
-)
-from repro.execution.pool import WorkerPool
-from repro.execution.shm_pool import SharedTracePool
 from repro.experiments.env import ExperimentEnv, LOOSE_DEADLINE_FACTOR
-from repro.market.history import SpotPriceHistory
-from repro.market.trace import SpotPriceTrace
 
 #: Timings are the best of this many runs (noise floor, not average).
 _REPEATS = 3
-
-#: MC fan-out shape: enough starts to split across workers, few enough
-#: that provisioning overhead dominates the baseline (the regime the
-#: planner's inner evaluations actually run in).
-_MC_SAMPLES = 24
-_MC_JOBS = 2
 
 #: Backtest grid parallelism (the ISSUE 8 acceptance point).
 _BT_JOBS = 4
 
 
-def _mc_case():
-    """A small one-group problem over a spiky synthetic trace."""
-    from tests.conftest import make_group  # reuse the canonical fixture
-
-    g = make_group(exec_time=6.0, overhead=0.5, recovery=0.5, n_instances=2)
-    od = OnDemandOption(get_instance_type("c3.xlarge"), 8, 5.0)
-    problem = Problem(groups=(g,), ondemand_options=(od,), deadline=20.0)
-    times, prices = [], []
-    for k in range(60):
-        times += [12.0 * k, 12.0 * k + 9.0]
-        prices += [0.05, 0.90]
-    h = SpotPriceHistory()
-    h.add(g.key, SpotPriceTrace(times, prices, 732.0))
-    decision = Decision(groups=(GroupDecision(0, 0.10, 2.0),), ondemand_index=0)
-    return problem, decision, h
-
-
-def _percall_spawn_mc(problem, decision, history, starts):
-    """The pre-pool hot path, verbatim: fresh executor + fresh shm pool
-    per call, both torn down before returning."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = np.array_split(starts, _MC_JOBS)
-    shm = None
-    try:
-        shm = SharedTracePool(history)
-    # reprolint: disable=R006 -- verbatim copy of the measured hot path's fail-open shm fallback
-    except Exception:
-        shm = None
-    try:
-        with ProcessPoolExecutor(max_workers=_MC_JOBS) as ex:
-            if shm is not None:
-                futures = [
-                    ex.submit(
-                        _replay_chunk_shm, problem, decision, shm.handle,
-                        chunk, None, "single-shot",
-                    )
-                    for chunk in chunks
-                ]
-            else:
-                futures = [
-                    ex.submit(
-                        _replay_chunk, problem, decision, history,
-                        chunk, None, "single-shot",
-                    )
-                    for chunk in chunks
-                ]
-            return [r for f in futures for r in f.result()]
-    finally:
-        if shm is not None:
-            shm.close()
-
-
 def run(quick: bool = False) -> dict:
-    problem, decision, history = _mc_case()
-    mc_repeats = _REPEATS if quick else 2 * _REPEATS
-
     with tempfile.TemporaryDirectory(prefix="repro-bench-pool-") as tmp:
         from repro.execution.artifacts import ARTIFACT_DIR_ENV
 
         saved_env = os.environ.get(ARTIFACT_DIR_ENV)
         os.environ[ARTIFACT_DIR_ENV] = str(pathlib.Path(tmp) / "art")
         try:
-            # --- Monte-Carlo fan-out: per-call spawn vs warm pool -----
-            starts = sample_start_times(
-                problem, decision, history, _MC_SAMPLES,
-                np.random.default_rng(7),
-            )
-            clear_shared_caches()
-            percall_results = None
-            percall_s = float("inf")
-            for _ in range(mc_repeats):
-                t0 = time.perf_counter()
-                res = _percall_spawn_mc(problem, decision, history, starts)
-                percall_s = min(percall_s, time.perf_counter() - t0)
-                percall_results = res
-            # Prime the shared pool + shm registry once, then time the
-            # steady-state call the planner's inner loop actually makes.
-            replay_many(
-                problem, decision, history, _MC_SAMPLES,
-                np.random.default_rng(7), jobs=_MC_JOBS,
-            )
-            warm_results = None
-            warm_mc_s = float("inf")
-            for _ in range(mc_repeats):
-                t0 = time.perf_counter()
-                res = replay_many(
-                    problem, decision, history, _MC_SAMPLES,
-                    np.random.default_rng(7), jobs=_MC_JOBS,
-                )
-                warm_mc_s = min(warm_mc_s, time.perf_counter() - t0)
-                warm_results = res
-            assert percall_results == warm_results, (
-                "warm-pool MC diverged from the per-call-spawn baseline"
-            )
-
             # --- Backtest grid: cold serial vs warm jobs=N ------------
             # The `backtest --quick` workload (cli.py): 2 windows,
             # 10+5 days, 40 replays, BT loose.
@@ -222,15 +103,6 @@ def run(quick: bool = False) -> dict:
     return {
         "suite": "pool",
         "metrics": {
-            "mc_fanout": {
-                "n_samples": _MC_SAMPLES,
-                "jobs": _MC_JOBS,
-                "percall_spawn_s": round(percall_s, 5),
-                "warm_pool_s": round(warm_mc_s, 5),
-                "speedup": (
-                    round(percall_s / warm_mc_s, 2) if warm_mc_s > 0 else None
-                ),
-            },
             "backtest_quick": {
                 "jobs": _BT_JOBS,
                 "cold_boot_serial_s": round(boot_s, 4),

@@ -51,7 +51,8 @@ from ..core.windows import (
     split_windows,
 )
 from ..errors import ConfigurationError
-from ..execution.montecarlo import replay_many, resolve_jobs
+from ..execution.montecarlo import replay_many
+from ..execution.pool import WorkerPool, resolve_jobs
 from ..execution.replay import decision_horizon
 from ..execution.results import MonteCarloSummary
 from ..execution.shm_pool import (
@@ -524,15 +525,13 @@ def run_backtest(env, manifest: BacktestManifest, jobs=None) -> BacktestReport:
     n_jobs = resolve_jobs(jobs, len(cells))
     results: List[WindowResult] = []
     if n_jobs > 1:
-        from ..execution.pool import WorkerPool
-
         # Ship the history through the long-lived shm registry (mapped
         # once per worker); fall back to pickling it into every task.
         try:
             shipped = shared_trace_handle(env.history)
         # reprolint: disable=R006 -- fail-open: no shared memory means the pickling path, counted
         except Exception:
-            metrics.inc("mc.shm_pool_unavailable")
+            metrics.inc("backtest.shm_pool_unavailable")
             shipped = env.history
         pool = WorkerPool.shared(n_jobs)
         try:

@@ -30,6 +30,7 @@ from typing import Iterable, Optional
 
 from .apps import PAPER_APPS
 from .config import DEFAULT_CONFIG
+from .execution.pool import jobs_arg
 from .experiments.env import ExperimentEnv
 from .market.history import SpotPriceHistory
 from .market.io import load_history, save_history
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bt.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_arg,
         default=None,
         metavar="N",
         help="run grid cells in N pooled worker processes "

@@ -1,22 +1,23 @@
 """Persistent warm worker pool for every parallel consumer (DESIGN.md §12).
 
-Before this module, each parallel entry point paid its own process-level
-cold start on *every call*: ``evaluate_decision_mc(jobs=N)`` spawned a
-fresh :class:`~concurrent.futures.ProcessPoolExecutor` and a fresh
-shared-memory trace pool per evaluation, the backtest harness ran its
-window×app×deadline grid strictly serially, and ``runner --jobs``
-built one more throwaway executor.  The spawn itself is cheap only on
-``fork`` platforms; under ``spawn`` every worker re-imports numpy and
-the whole engine, and either way every new worker rebuilds its kernel
-index tables, group tables and artifact-store handle from nothing.
+Parallelism in this library is coarse: whole backtest cells
+(``run_backtest(jobs=N)``, ``repro backtest --jobs``) and whole
+experiments (``runner --jobs``).  Monte-Carlo replay itself stays
+in-process — one batched array pass covers every starting point, and
+fanning starts out measured slower than serial (DESIGN.md §12).  Before
+this module, each parallel entry point paid its own process-level cold
+start on *every call*.  The spawn itself is cheap only on ``fork``
+platforms; under ``spawn`` every worker re-imports numpy and the whole
+engine, and either way every new worker rebuilds its kernel index
+tables, group tables and artifact-store handle from nothing.
 
 :class:`WorkerPool` amortizes all of that:
 
 * **One executor per process** — :meth:`WorkerPool.shared` lazily
-  creates a single process-wide pool and every consumer (Monte-Carlo
-  fan-out, parallel backtest cells, ``runner --jobs``, the perf
-  benches) submits to it.  The pool grows when a caller asks for more
-  workers than it has; it never shrinks (idle workers are the cache).
+  creates a single process-wide pool and every consumer (parallel
+  backtest cells, ``runner --jobs``, the perf bench) submits to it.
+  The pool grows when a caller asks for more workers than it has; it
+  never shrinks (idle workers are the cache).
 * **Warm workers** — an initializer runs once per worker: it pays the
   engine imports and opens the artifact store handle (whose first-open
   eviction scan would otherwise land in the first task), so the first
@@ -25,10 +26,11 @@ index tables, group tables and artifact-store handle from nothing.
   the warm store and stay in the worker's in-memory caches for its
   whole lifetime — a worker that planned a window once serves the next
   request for it from memory.
-* **Shared-memory reuse** — traces ship through the long-lived
-  content-hash-keyed registry (:func:`repro.execution.shm_pool.
-  shared_trace_handle`), so a history's shm segments are created once
-  per process and mapped once per worker, not once per call.
+* **Shared-memory reuse** — the backtest ships its history through the
+  long-lived content-hash-keyed registry (:func:`repro.execution.
+  shm_pool.shared_trace_handle`), so a history's shm segments are
+  created once per process and mapped once per worker, not once per
+  call.
 * **Lifecycle** — explicitly closeable (:func:`close_shared_pool`),
   closed at interpreter exit (``atexit``), and wired through
   :func:`repro.core.two_level.register_cache_clearer` so
@@ -38,14 +40,18 @@ index tables, group tables and artifact-store handle from nothing.
   never reuses (or joins) its parent's executor, and all worker entry
   points are module-level functions.
 
+:func:`resolve_jobs` is the one worker-count rule every consumer uses,
+and :func:`jobs_arg` is the ``--jobs`` type both CLIs parse with.
+
 Determinism is untouched by construction: the pool only changes *where*
-chunks run, never what they compute — callers draw starts/streams
-before chunking and gather futures in submission order, so output stays
+tasks run, never what they compute — callers derive their randomness
+from (seed, task) and gather in submission order, so output stays
 byte-identical to the serial path (``tests/test_worker_pool.py``).
 """
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import os
 from typing import Optional
@@ -54,13 +60,47 @@ from .. import obs
 from ..core.two_level import register_cache_clearer
 from ..errors import ConfigurationError
 
-__all__ = ["WorkerPool", "close_shared_pool", "default_max_workers"]
+__all__ = [
+    "WorkerPool",
+    "close_shared_pool",
+    "default_max_workers",
+    "jobs_arg",
+    "resolve_jobs",
+]
 
 
 def default_max_workers() -> int:
     """Worker count when a caller does not name one: the machine's
     cores, capped — the pool serves chunked numeric work, not I/O."""
     return max(1, min(8, os.cpu_count() or 1))
+
+
+def resolve_jobs(jobs: Optional[int], n_starts: int) -> int:
+    """Worker-process count a fan-out will actually use.
+
+    The chunking decision used to be an inline conjunction that silently
+    serialised ``jobs=0`` and spawned more workers than chunks; this is
+    the single authority both callers and tests consult.  ``None`` means
+    serial (1); ``jobs < 1`` is a configuration error; otherwise the
+    count is capped by the number of starts (one start cannot be split,
+    and a worker without a chunk is pure startup cost).
+    """
+    if jobs is None:
+        return 1
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    if n_starts <= 1:
+        return 1
+    return min(jobs, n_starts)
+
+
+def jobs_arg(text: str) -> int:
+    """argparse ``type`` for ``--jobs``: an integer of at least 1, so a
+    smaller count is a usage error (exit 2) in every CLI."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _warm_worker() -> None:

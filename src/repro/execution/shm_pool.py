@@ -1,14 +1,13 @@
-"""Shared-memory trace pool for multi-process Monte-Carlo replay.
+"""Shared-memory trace pool for multi-process backtests.
 
-``evaluate_decision_mc(jobs=N)`` fans chunks of starting points out to a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Before this module,
-every submitted chunk re-pickled the full :class:`SpotPriceHistory` —
-hundreds of kilobytes of trace arrays serialized once *per chunk*, which
-for short chunks cost more than the replay itself.  The pool instead
-copies each trace's ``times``/``prices`` arrays into one
+``run_backtest(jobs=N)`` fans whole grid cells out to the shared
+:class:`~.pool.WorkerPool`, and every cell replays against the full
+:class:`SpotPriceHistory`.  Pickling that history into every task
+serializes hundreds of kilobytes of trace arrays once *per task*.  The
+pool instead copies each trace's ``times``/``prices`` arrays into one
 :class:`multiprocessing.shared_memory.SharedMemory` block up front and
 ships only a tiny picklable :class:`SharedHistoryHandle`; workers attach
-lazily (first chunk of each worker) and build zero-copy numpy views over
+lazily (first task of each worker) and build zero-copy numpy views over
 the block.
 
 Correctness properties:
@@ -132,12 +131,11 @@ def _tracker_pid() -> int:
 
 
 # Worker-side cache: one attached history per pool, keyed by pool_id so
-# a long-lived worker serving chunks from several evaluations never
-# re-attaches (or worse, re-copies) the same blocks.  Superseded pools
-# are evicted on the next attach (see ``_evict_superseded``): each
-# evaluation builds a fresh pool, so without eviction a worker reused
-# across evaluations would keep every dead pool's mappings open for its
-# whole lifetime.
+# a long-lived worker serving tasks from several runs never re-attaches
+# (or worse, re-copies) the same blocks.  Superseded pools are evicted
+# on the next attach (see ``_evict_superseded``): a new history content
+# means a new pool, so without eviction a worker reused across runs
+# would keep every old pool's mappings open for its whole lifetime.
 _ATTACHED: Dict[str, SpotPriceHistory] = {}
 _ATTACHED_BLOCKS: Dict[str, list] = {}
 
@@ -167,9 +165,8 @@ def attach_history(handle: SharedHistoryHandle) -> SpotPriceHistory:
 
     Safe to call in the parent too (it maps the same physical pages).
     The attached blocks stay mapped until a *different* pool is
-    attached — each evaluation builds its own pool, so attaching a new
-    one means every other cached pool is dead and its blocks are closed
-    (the worker-lifetime leak this replaces kept them all mapped).
+    attached, which closes every other cached mapping (the
+    worker-lifetime leak this replaces kept them all mapped).
     """
     cached = _ATTACHED.get(handle.pool_id)
     if cached is not None:
@@ -213,8 +210,8 @@ def attach_history(handle: SharedHistoryHandle) -> SpotPriceHistory:
 # history objects with bit-identical traces share one set of shm blocks
 # — and, because the handle (pool_id) is stable across calls, a warm
 # worker's cached attach keeps serving without remapping.  Before this
-# registry, every evaluate_decision_mc(jobs=N) call built and unlinked
-# a fresh pool even for the same history object (ISSUE 8).  Bounded
+# registry, every parallel call built and unlinked a fresh pool even
+# for the same history object.  Bounded
 # LRU: evicting a pool only unlinks shm blocks; the next call on that
 # history pays one rebuild, results are unchanged.
 

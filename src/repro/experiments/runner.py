@@ -32,6 +32,7 @@ import time
 from typing import Iterable, List
 
 from .. import obs
+from ..execution.pool import WorkerPool, jobs_arg, resolve_jobs
 
 from . import (
     accuracy,
@@ -119,7 +120,7 @@ def main(argv: Iterable[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=jobs_arg,
         default=None,
         metavar="N",
         help="run experiments in N worker processes (same output as serial)",
@@ -162,20 +163,17 @@ def main(argv: Iterable[str] | None = None) -> int:
         print(f"[{name} completed in {wall:.1f}s]")
         print()
 
-    if args.jobs is not None and args.jobs > 1 and len(selected) > 1:
-        from ..execution.pool import WorkerPool
-
+    n_jobs = resolve_jobs(args.jobs, len(selected))
+    if n_jobs > 1:
         # The persistent shared pool, not a throwaway executor: warm
         # workers carry their table caches from experiment to experiment
-        # (and from any earlier parallel work in this process).
-        pool = WorkerPool.shared(min(args.jobs, len(selected)))
-        futures = {
-            name: pool.submit(_run_one, name, args.seed, n_samples, args.audit)
-            for name in selected
-        }
-        # Gather in selection order for a stable, serial-identical log.
-        for name in selected:
-            results, wall, snap = futures[name].result()
+        # (and from any earlier parallel work in this process).  Results
+        # come back in selection order for a stable, serial-identical log.
+        gathered = WorkerPool.shared(n_jobs).run_ordered(
+            _run_one,
+            [(name, args.seed, n_samples, args.audit) for name in selected],
+        )
+        for name, (results, wall, snap) in zip(selected, gathered):
             obs.get_metrics().merge_snapshot(snap)
             emit(name, results, wall)
     else:

@@ -35,6 +35,15 @@ class TestPlan:
             main(["plan", "--app", "EP"])
 
 
+class TestJobsOption:
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_backtest_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--quick", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestReplay:
     def test_replay_reports_statistics(self, capsys):
         code, out = run_cli(

@@ -1,27 +1,35 @@
-"""Shared-memory Monte-Carlo fan-out tests.
+"""Shared-memory trace transport tests.
 
-The contract (montecarlo docstring): chunked parallel replay is
-byte-identical to the serial path for the same rng — now with the
-history shipped through one shared-memory block per trace instead of
-re-pickled per chunk — and :func:`resolve_jobs` is the single authority
-for the worker-count decision.
+The contracts: a pooled history attaches byte-identically and its
+worker-side mappings are evicted, not leaked; the parallel backtest's
+shm plumbing is fail-open (no shared memory, or an attach that fails in
+a worker, still gives the serial report, and each degradation is
+counted); and :func:`resolve_jobs` is the single authority for the
+worker-count decision.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
 import pytest
 
 from repro import obs
+from repro.backtest import harness, run_backtest
 from repro.cloud.instance_types import get_instance_type
-from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
+from repro.core.problem import OnDemandOption, Problem
 from repro.errors import ConfigurationError
-from repro.execution import montecarlo
-from repro.execution.montecarlo import replay_many, resolve_jobs
-from repro.execution.shm_pool import SharedTracePool, attach_history
+from repro.execution import shm_pool
+from repro.execution.pool import resolve_jobs
+from repro.execution.shm_pool import (
+    SharedHistoryHandle,
+    SharedTracePool,
+    attach_history,
+)
 from repro.market.history import SpotPriceHistory
 from repro.market.trace import SpotPriceTrace
 from tests.conftest import make_group
+from tests.test_worker_pool import _mini_env, _mini_manifest
 
 
 @pytest.fixture
@@ -78,42 +86,53 @@ class TestSharedTracePool:
 
 
 class TestParallelByteIdentity:
-    def _decision(self):
-        return Decision(groups=(GroupDecision(0, 0.10, 2.0),), ondemand_index=0)
+    """``run_backtest``'s fail-open seams: every degraded path gives the
+    serial report bit for bit, and each degradation is counted."""
 
-    @pytest.mark.parametrize("jobs", [2, 3, 8])
-    def test_results_match_serial_exactly(self, spiky_problem, jobs):
-        problem, h = spiky_problem
-        d = self._decision()
-        serial = replay_many(problem, d, h, 12, np.random.default_rng(7))
-        parallel = replay_many(
-            problem, d, h, 12, np.random.default_rng(7), jobs=jobs
-        )
-        assert serial == parallel
-
-    def test_pickling_fallback_matches_and_is_counted(
-        self, spiky_problem, monkeypatch
-    ):
-        problem, h = spiky_problem
-        d = self._decision()
-        serial = replay_many(problem, d, h, 8, np.random.default_rng(3))
+    def test_pickling_fallback_matches_and_is_counted(self, monkeypatch):
+        env = _mini_env()
+        manifest = _mini_manifest(env)
+        serial = run_backtest(env, manifest, jobs=1)
 
         def boom(history):
             raise OSError("no /dev/shm here")
-
-        from repro.execution import shm_pool
 
         # Drop any registered pool for this content first — the registry
         # would otherwise serve a cached handle and never call the
         # patched factory.
         shm_pool.close_trace_pools()
         monkeypatch.setattr(shm_pool, "SharedTracePool", boom)
-        before = obs.get_metrics().get("mc.shm_pool_unavailable")
-        fallback = replay_many(
-            problem, d, h, 8, np.random.default_rng(3), jobs=2
+        metrics = obs.get_metrics()
+        before = metrics.get("backtest.shm_pool_unavailable")
+        fallback = run_backtest(_mini_env(), manifest, jobs=2)
+        assert metrics.get("backtest.shm_pool_unavailable") == before + 1
+        assert fallback.results == serial.results
+
+    def test_attach_failure_recomputes_serially_and_is_counted(
+        self, monkeypatch
+    ):
+        env = _mini_env()
+        manifest = _mini_manifest(env)
+        serial = run_backtest(env, manifest, jobs=1)
+
+        # A handle naming segments that do not exist: every worker's
+        # attach raises FileNotFoundError, whatever the start method.
+        ghost = SharedHistoryHandle(
+            pool_id=f"absent-{os.getpid()}",
+            entries=tuple(
+                (key.instance_type, key.zone, f"absent-{os.getpid()}-{i}",
+                 trace.n_segments, trace.end_time)
+                for i, (key, trace) in enumerate(env.history.items())
+            ),
         )
-        assert obs.get_metrics().get("mc.shm_pool_unavailable") == before + 1
-        assert serial == fallback
+        monkeypatch.setattr(
+            harness, "shared_trace_handle", lambda history: ghost
+        )
+        metrics = obs.get_metrics()
+        before = metrics.get("backtest.shm_attach_failed")
+        recomputed = run_backtest(_mini_env(), manifest, jobs=2)
+        assert metrics.get("backtest.shm_attach_failed") == before + 1
+        assert recomputed.results == serial.results
 
 
 class TestWorkerPoolEviction:

@@ -1,14 +1,12 @@
 """Determinism regression tests for the performance layer.
 
-The caches, the pruned subset search, the batched replay and the
-process-parallel Monte-Carlo are all claimed to be *bit-identical* to
-the seed implementation paths.  These tests hold that claim down:
+The caches, the pruned subset search and the batched replay are all
+claimed to be *bit-identical* to the seed implementation paths.  These tests hold that claim down:
 
 * cold-cache vs warm-cache planning → identical plans,
 * pruned vs unpruned subset search → identical winner and counts,
 * batched replay vs the scalar oracle → identical RunResults field by
   field,
-* `jobs` > 1 vs serial Monte-Carlo → identical summaries,
 * observability (tracing + audit) on vs off → identical RunResults.
 """
 
@@ -21,11 +19,7 @@ from repro.core.subset import exhaustive_subset_search
 from repro.core.two_level import TwoLevelOptimizer, clear_shared_caches
 from repro.execution.artifacts import ARTIFACT_DIR_ENV
 from repro.execution.batch_replay import replay_batch
-from repro.execution.montecarlo import (
-    evaluate_decision_mc,
-    replay_many,
-    sample_start_times,
-)
+from repro.execution.montecarlo import sample_start_times
 from repro.execution.replay import replay_decision
 from repro.experiments.env import ExperimentEnv
 from tests.oracles import scalar_replay
@@ -173,32 +167,3 @@ class TestObservabilityTransparent:
                     (i.category, i.description, i.dollars)
                     for i in other.ledger.items
                 ]
-
-
-class TestParallelMcIdentical:
-    def test_jobs_matches_serial_summary(self, env, planned):
-        problem, plan = planned
-        serial = evaluate_decision_mc(
-            problem, plan.decision, env.history, 40,
-            env.rng.fresh("det-jobs"), t_min=env.train_end,
-        )
-        parallel = evaluate_decision_mc(
-            problem, plan.decision, env.history, 40,
-            env.rng.fresh("det-jobs"), t_min=env.train_end, jobs=2,
-        )
-        assert serial == parallel
-
-    def test_jobs_matches_serial_runs_persistent(self, env, planned):
-        problem, plan = planned
-        kwargs = dict(t_min=env.train_end, semantics="persistent")
-        serial = replay_many(
-            problem, plan.decision, env.history, 16,
-            env.rng.fresh("det-jobs-p"), **kwargs,
-        )
-        parallel = replay_many(
-            problem, plan.decision, env.history, 16,
-            env.rng.fresh("det-jobs-p"), jobs=3, **kwargs,
-        )
-        assert [(r.cost, r.makespan, r.completed_by) for r in serial] == [
-            (r.cost, r.makespan, r.completed_by) for r in parallel
-        ]

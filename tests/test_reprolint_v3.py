@@ -774,17 +774,26 @@ class TestMetaRealCode:
     text`` guards keep these honest: if the real code is refactored the
     test fails loudly instead of silently mutating nothing."""
 
-    MODULES = ("pool.py", "shm_pool.py", "montecarlo.py")
+    #: Package-relative sources; ``mutations`` and the returned texts
+    #: are keyed by file name.  The harness keeps ``replay_many``
+    #: worker-reachable (``_run_cell_task`` → ``_run_cell``).
+    MODULES = (
+        "execution/pool.py",
+        "execution/shm_pool.py",
+        "execution/montecarlo.py",
+        "backtest/harness.py",
+    )
 
     def _copy_execution(self, tmp_path, mutations=None):
         paths = []
         texts = {}
-        for name in self.MODULES:
-            text = (EXECUTION / name).read_text()
+        for rel in self.MODULES:
+            name = rel.rsplit("/", 1)[-1]
+            text = (EXECUTION.parent / rel).read_text()
             for old, new in (mutations or {}).get(name, ()):
                 assert old in text, f"{name}: mutation anchor gone: {old!r}"
                 text = text.replace(old, new)
-            dest = tmp_path / "src" / "repro" / "execution" / name
+            dest = tmp_path / "src" / "repro" / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
             dest.write_text(text)
             paths.append(dest)
@@ -846,7 +855,10 @@ class TestMetaRealCode:
         assert "_SHARED_POOL" in finding.message
 
     def test_wall_clock_in_worker_fires_r012(self, tmp_path):
-        anchor = 'processes can import it)."""'
+        anchor = (
+            '"""Raw replay results (for distribution plots and variance '
+            'studies)."""'
+        )
         inserted = "    _t0 = time.time()"
         mutations = {
             "montecarlo.py": [(anchor, anchor + "\n" + inserted)],
@@ -860,6 +872,9 @@ class TestMetaRealCode:
             texts["montecarlo.py"], inserted.strip()
         )
         assert "wall clock" in finding.message
+        assert "worker-reachable, entry repro.backtest.harness." in (
+            finding.message
+        )
 
     def test_dropping_attach_clearer_fires_r010(self, tmp_path):
         mutations = {

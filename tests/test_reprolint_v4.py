@@ -805,32 +805,6 @@ class TestMetaRealCode:
         result = self._lint(tmp_path, paths, ["R001", "R015", "R016"])
         assert result.findings == []
 
-    def test_unguarding_mc_gather_fires_r016(self, tmp_path):
-        # _replay_starts documents its fail-open shm fallback; narrowing
-        # the recovery handler lets the workers' OSError escape again.
-        rel = "src/repro/execution/montecarlo.py"
-        mutations = {
-            rel: [(
-                "            except OSError:\n"
-                "                # A worker lost the segment between",
-                "            except ValueError:\n"
-                "                # A worker lost the segment between",
-            )],
-        }
-        paths, texts = self._copy(tmp_path, mutations)
-        result = self._lint(tmp_path, paths, ["R016"])
-        assert result.findings, "unguarded shm gather must fire R016"
-        assert {f.rule for f in result.findings} == {"R016"}
-        assert all(f.path == rel for f in result.findings)
-        assert any(
-            "_replay_starts() documents a fail-open contract" in f.message
-            for f in result.findings
-        )
-        lines = {f.line for f in result.findings}
-        assert self._line_of(
-            texts[rel], "pool.submit("
-        ) in lines
-
     def test_unguarding_backtest_gather_fires_r016(self, tmp_path):
         # run_backtest's serial-recompute fallback: catching only the
         # FileNotFoundError subclass leaves the general OSError escaping.
@@ -857,10 +831,7 @@ class TestMetaRealCode:
 
     def test_module_level_generator_fires_r014(self, tmp_path):
         rel = "src/repro/execution/montecarlo.py"
-        anchor = (
-            "from .shm_pool import SharedHistoryHandle, attach_history, "
-            "shared_trace_handle"
-        )
+        anchor = "from .batch_replay import replay_batch"
         inserted = "_FALLBACK_RNG = np.random.default_rng()"
         mutations = {rel: [(anchor, anchor + "\n\n" + inserted)]}
         paths, texts = self._copy(tmp_path, mutations)
@@ -873,8 +844,8 @@ class TestMetaRealCode:
 
     def test_set_fold_fires_r015_with_fix(self, tmp_path):
         rel = "src/repro/execution/montecarlo.py"
-        anchor = "        chunks = np.array_split(starts, n_jobs)"
-        inserted = "        _spread = sum({float(c.sum()) for c in chunks})"
+        anchor = '    metrics.inc("mc.samples", n_samples)'
+        inserted = "    _spread = sum({float(x) for x in (deadline, n_samples)})"
         mutations = {rel: [(anchor, anchor + "\n" + inserted)]}
         paths, texts = self._copy(tmp_path, mutations)
         result = self._lint(tmp_path, paths, ["R015"])

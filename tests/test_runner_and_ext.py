@@ -19,6 +19,13 @@ class TestRunner:
         with pytest.raises(SystemExit):
             runner.main(["--only", "fig99"])
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["--quick", "--only", "fig1", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_json_export(self, capsys, tmp_path):
         path = tmp_path / "results.json"
         code = runner.main(

@@ -1,11 +1,11 @@
 """Persistent shared worker pool (DESIGN.md §12).
 
-The contracts under test, in the order ISSUE 8 states them: parallel
-``run_backtest`` is bit-identical to serial at any job count, sequential
-Monte-Carlo calls reuse one executor and one shm registry entry instead
-of respawning per call, the pool works under the ``spawn`` start method
-(module-level entry points only), and ``close()`` leaves no worker
-processes or shared-memory segments behind.
+The contracts under test: parallel ``run_backtest`` is bit-identical to
+serial at any job count, sequential parallel backtests reuse one
+executor and one shm registry entry instead of respawning per call, the
+pool works under the ``spawn`` start method (module-level entry points
+only), and ``close()`` leaves no worker processes or shared-memory
+segments behind.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.cloud.instance_types import get_instance_type
 from repro.cloud.zones import Zone
 from repro.config import SompiConfig
-from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
+from repro.core.problem import OnDemandOption, Problem
 from repro.errors import ConfigurationError
 from repro.backtest import build_manifest, run_backtest
 from repro.execution import shm_pool
-from repro.execution.montecarlo import replay_many
 from repro.execution.pool import (
     WorkerPool,
     close_shared_pool,
@@ -74,10 +72,6 @@ def spiky_problem():
     return problem, h
 
 
-def _decision():
-    return Decision(groups=(GroupDecision(0, 0.10, 2.0),), ondemand_index=0)
-
-
 # ----------------------------------------------------------------------
 # Serial == parallel bit-identity for the backtest grid
 # ----------------------------------------------------------------------
@@ -105,27 +99,27 @@ class TestBacktestParallelIdentity:
 
 
 # ----------------------------------------------------------------------
-# Pool reuse across sequential Monte-Carlo calls
+# Pool reuse across sequential parallel backtests
 # ----------------------------------------------------------------------
 class TestSequentialReuse:
-    def test_one_spawn_many_calls_and_shm_registry_hits(self, spiky_problem):
-        problem, h = spiky_problem
-        d = _decision()
+    def test_one_spawn_many_calls_and_shm_registry_hits(self):
+        env = _mini_env()
+        manifest = _mini_manifest(env)
         close_shared_pool()
         shm_pool.close_trace_pools()
         metrics = obs.get_metrics()
         spawns0 = metrics.get("pool.spawns")
-        first = replay_many(problem, d, h, 12, np.random.default_rng(7), jobs=2)
+        first = run_backtest(env, manifest, jobs=2)
         assert metrics.get("pool.spawns") == spawns0 + 1
         hits0 = metrics.get("cache.shm_pool_hits")
         warm0 = metrics.get("pool.warm_hits")
-        second = replay_many(problem, d, h, 12, np.random.default_rng(7), jobs=2)
+        second = run_backtest(env, manifest, jobs=2)
         # Same process, same history content: no new executor, no new
         # shm blocks — the registry and the shared pool both hit warm.
         assert metrics.get("pool.spawns") == spawns0 + 1
         assert metrics.get("cache.shm_pool_hits") == hits0 + 1
         assert metrics.get("pool.warm_hits") == warm0 + 1
-        assert first == second
+        assert first.results == second.results
 
     def test_shared_grows_but_never_shrinks(self):
         close_shared_pool()
@@ -136,12 +130,11 @@ class TestSequentialReuse:
         assert WorkerPool.shared(1) is grown
         close_shared_pool()
 
-    def test_clear_shared_caches_drops_the_pool(self, spiky_problem):
+    def test_clear_shared_caches_drops_the_pool(self):
         from repro.core.two_level import clear_shared_caches
 
-        problem, h = spiky_problem
-        replay_many(problem, _decision(), h, 12,
-                    np.random.default_rng(7), jobs=2)
+        env = _mini_env()
+        run_backtest(env, _mini_manifest(env), jobs=2)
         pool = WorkerPool.shared()
         assert pool.spawned
         clear_shared_caches()
