@@ -328,12 +328,10 @@ def _group_calibration(
         key_str = str(spec.key)
         launched = 0
         died = 0
-        for result in replays:
-            for record in result.group_records:
-                if str(record.key) == key_str and record.launched:
-                    launched += 1
-                    if record.terminated:
-                        died += 1
+        for other, cols in zip(plan.decision.groups, replays.groups):
+            if str(problem.groups[other.group_index].key) == key_str:
+                launched += int(np.count_nonzero(cols.launched))
+                died += int(np.count_nonzero(cols.launched & cols.terminated))
         if launched == 0:
             continue
         points.append(

@@ -17,21 +17,30 @@ array operations, so the Python iteration count is the maximum number of
 relaunches of any sample, not the number of samples.
 
 The arithmetic mirrors the scalar replay it replaced operation for
-operation (same IEEE ops in the same order; each run window's bill is
-evaluated with the very same :func:`billed_spot_cost` call), so the
-results — including the per-group records, hourly billing,
-checkpoint-storage accounting and the cost ledger — are bit-identical
-to a sequential per-start walk.  That scalar engine survives as the
-parity oracle ``tests/oracles/scalar_replay.py``.
-:func:`replay_window_batch` exposes the same kernels over per-element
-windows and per-sample remaining work for the adaptive executor.  See
-DESIGN.md §8 for the kernel-layer contract.
+operation (same IEEE ops in the same order; every run window of a
+group is billed by one :func:`~.kernels.billed_cost_batch` call, which
+is bitwise equal to :func:`repro.cloud.spot.billed_spot_cost` per
+window), so the results — including the per-group records, hourly
+billing, checkpoint-storage accounting and the cost ledger — are
+bit-identical to a sequential per-start walk.  That scalar engine
+survives as the parity oracle ``tests/oracles/scalar_replay.py``.
+
+Results stay columnar: :func:`replay_window_batch` returns a
+:class:`WindowBatch` and :func:`replay_batch` a :class:`ReplayBatch`,
+one array per field.  A per-start :class:`~.results.RunResult` (or
+:class:`~.replay.WindowOutcome`) is built only when the batch is
+indexed or iterated — or, with tracing or auditing on, for every start
+before :func:`replay_batch` returns, so :func:`observe_result` sees
+every result.  :func:`replay_window_batch` runs the same kernels over
+per-element windows and per-sample remaining work for the adaptive
+executor.  See DESIGN.md §8 for the kernel-layer contract.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +51,7 @@ from ..core.problem import Decision, Problem
 from ..errors import ConfigurationError, TraceError
 from ..market.history import SpotPriceHistory
 from .kernels import (
-    billed_cost_fast,
+    billed_cost_batch,
     checkpoints_completed_arr,
     progress_after_wall_arr,
     total_wall_arr,
@@ -100,7 +109,7 @@ def _group_ctx(spec, gd, trace) -> _GroupCtx:
 
 
 @dataclass
-class _GroupBatch:
+class GroupColumns:
     """One group's replay outcome across all starts, as arrays."""
 
     launched: np.ndarray  # bool
@@ -111,7 +120,7 @@ class _GroupBatch:
     productive: np.ndarray
     saved: np.ndarray
     n_ckpt: np.ndarray
-    cost: np.ndarray
+    cost: np.ndarray  # spot dollars for all of the group's instances
 
 
 def _run_group_batch(
@@ -120,7 +129,7 @@ def _run_group_batch(
     t1: np.ndarray,
     work: Optional[np.ndarray] = None,
     billing: BillingPolicy = CONTINUOUS,
-) -> _GroupBatch:
+) -> GroupColumns:
     """Array version of the scalar single-shot group walk
     (``tests/oracles/scalar_replay.py``) over per-element windows
     ``[t0, t1)``.
@@ -188,16 +197,12 @@ def _run_group_batch(
     n_ckpt = np.where(launched, n_ckpt, 0)
 
     cost = np.zeros(t0.size)
-    bill_end = np.minimum(end, ctx.trace.end_time)
-    for i in np.flatnonzero(launched & (end > launch)):
-        cost[i] = (
-            billed_cost_fast(
-                ctx.trace, float(launch[i]), float(bill_end[i]),
-                bool(terminated[i]), billing,
-            )
-            * spec.n_instances
-        )
-    return _GroupBatch(
+    bill = np.flatnonzero(launched & (end > launch))
+    cost[bill] = billed_cost_batch(
+        ctx.trace, launch[bill], np.minimum(end[bill], ctx.trace.end_time),
+        terminated[bill], billing,
+    ) * spec.n_instances
+    return GroupColumns(
         launched=launched, launch=launch, end=end, terminated=terminated,
         completed=completed, productive=productive, saved=saved,
         n_ckpt=n_ckpt, cost=cost,
@@ -210,7 +215,7 @@ def _run_group_persistent_batch(
     t1: np.ndarray,
     work: Optional[np.ndarray] = None,
     billing: BillingPolicy = CONTINUOUS,
-) -> _GroupBatch:
+) -> GroupColumns:
     """Array version of the scalar persistent group walk.
 
     The scalar drives one sample through its relaunch rounds with a
@@ -220,8 +225,9 @@ def _run_group_persistent_batch(
     operations.  Samples leave the active set as they finish, so the
     Python-level iteration count is ``max_i rounds(i)``, typically a
     handful.  Per-round state updates replicate the scalar ordering
-    exactly; spot bills accrue through the same per-round
-    ``billed_spot_cost`` calls in the same order per sample.
+    exactly; each round bills all its run windows in one
+    ``billed_cost_batch`` call and adds them in round order per sample,
+    as the scalar adds its per-round ``billed_spot_cost`` calls.
     """
     tb = ctx.tables
     times = tb.times
@@ -294,15 +300,11 @@ def _run_group_persistent_batch(
         productive, newly_saved, n_ckpt = progress_after_wall_arr(
             avail, remaining, eff_r, O, done_wall, k_done
         )
-        bill_end = np.minimum(run_end, trace.end_time)
-        for b in np.flatnonzero(run_end > lj):
-            cost[j[b]] += (
-                billed_cost_fast(
-                    trace, float(lj[b]), float(bill_end[b]), bool(died[b]),
-                    billing,
-                )
-                * spec.n_instances
-            )
+        b = np.flatnonzero(run_end > lj)
+        cost[j[b]] += billed_cost_batch(
+            trace, lj[b], np.minimum(run_end[b], trace.end_time), died[b],
+            billing,
+        ) * spec.n_instances
         productive_tot[j] += productive
         ckpts_tot[j] += n_ckpt
         comp = productive >= remaining - 1e-9
@@ -334,7 +336,7 @@ def _run_group_persistent_batch(
             dead[sjj] = False
             active[sjj] = False
 
-    return _GroupBatch(
+    return GroupColumns(
         launched=~np.isnan(first_launch),
         launch=first_launch,
         end=end,
@@ -347,29 +349,72 @@ def _run_group_persistent_batch(
     )
 
 
-def _records_at(
-    ctxs: Sequence[_GroupCtx], runs: Sequence[_GroupBatch], i: int, t1_i: float
-) -> tuple[GroupRunRecord, ...]:
-    recs = []
-    for ctx, run in zip(ctxs, runs):
-        launched = bool(run.launched[i])
-        recs.append(
-            GroupRunRecord(
-                key=ctx.spec.key,
-                bid=ctx.bid,
-                interval=ctx.interval,
-                launched=launched,
-                launch_time=float(run.launch[i]) if launched else None,
-                end_time=float(run.end[i]) if launched else t1_i,
-                terminated=bool(run.terminated[i]),
-                completed=bool(run.completed[i]),
-                productive=float(run.productive[i]),
-                saved=float(run.saved[i]),
-                n_checkpoints=int(run.n_ckpt[i]),
-                spot_cost=float(run.cost[i]),
-            )
+#: ``completed_by`` code of a run the on-demand fallback finished; a
+#: spot completion carries the finishing group's decision position.
+ONDEMAND = -1
+
+
+@dataclass(eq=False)
+class WindowBatch(Sequence):
+    """:func:`replay_window_batch`'s result: one array per field.
+
+    ``groups[g]`` holds decision group ``g``'s columns; the other
+    columns have one element per window.  Indexing builds the
+    :class:`WindowOutcome` the scalar oracle returns for that window.
+    """
+
+    ctxs: Sequence[_GroupCtx]
+    groups: Sequence[GroupColumns]
+    horizon: np.ndarray  # completion time where a group completed, else t1
+    winner: np.ndarray  # decision position of the completing group, or -1
+    cost: np.ndarray  # spot dollars, summed over groups in decision order
+    gained_fraction: np.ndarray  # 1.0 where a group completed
+    all_dead_at: np.ndarray  # NaN unless every group died without completing
+
+    @property
+    def completed(self) -> np.ndarray:
+        return self.winner >= 0
+
+    def __len__(self) -> int:
+        return self.horizon.size
+
+    def __getitem__(self, i: int) -> WindowOutcome:
+        i = range(len(self))[i]
+        w = int(self.winner[i])
+        dead_at = float(self.all_dead_at[i])
+        return WindowOutcome(
+            records=self.records(i),
+            cost=float(self.cost[i]),
+            completed=w >= 0,
+            completed_key=str(self.ctxs[w].spec.key) if w >= 0 else None,
+            completion_time=float(self.horizon[i]) if w >= 0 else None,
+            gained_fraction=float(self.gained_fraction[i]),
+            all_dead_at=None if np.isnan(dead_at) else dead_at,
         )
-    return tuple(recs)
+
+    def records(self, i: int) -> tuple[GroupRunRecord, ...]:
+        """Window ``i``'s per-group records, in decision order."""
+        horizon = float(self.horizon[i])
+        recs = []
+        for ctx, run in zip(self.ctxs, self.groups):
+            launched = bool(run.launched[i])
+            recs.append(
+                GroupRunRecord(
+                    key=ctx.spec.key,
+                    bid=ctx.bid,
+                    interval=ctx.interval,
+                    launched=launched,
+                    launch_time=float(run.launch[i]) if launched else None,
+                    end_time=float(run.end[i]) if launched else horizon,
+                    terminated=bool(run.terminated[i]),
+                    completed=bool(run.completed[i]),
+                    productive=float(run.productive[i]),
+                    saved=float(run.saved[i]),
+                    n_checkpoints=int(run.n_ckpt[i]),
+                    spot_cost=float(run.cost[i]),
+                )
+            )
+        return tuple(recs)
 
 
 def replay_window_batch(
@@ -381,7 +426,7 @@ def replay_window_batch(
     works: Optional[np.ndarray] = None,
     persistent: bool = False,
     billing: BillingPolicy = CONTINUOUS,
-) -> list[WindowOutcome]:
+) -> WindowBatch:
     """Run the decision's groups over per-element windows
     ``[t0_i, t1_i)``.
 
@@ -404,10 +449,11 @@ def replay_window_batch(
         i = int(np.flatnonzero(t1 <= t0)[0])
         raise ConfigurationError(f"empty window [{t0[i]}, {t1[i]})")
     if not decision.groups:
-        return [
-            WindowOutcome((), 0.0, False, None, None, 0.0, float(t))
-            for t in t0
-        ]
+        return WindowBatch(
+            ctxs=(), groups=(), horizon=t1, winner=np.full(t0.size, -1),
+            cost=np.zeros(t0.size), gained_fraction=np.zeros(t0.size),
+            all_dead_at=t0,
+        )
     obs.get_metrics().inc("replay.window_batches")
 
     ctxs = []
@@ -446,8 +492,8 @@ def replay_window_batch(
         np.inf,
     )
     t_done = comp_end.min(axis=0)
-    winner = comp_end.argmin(axis=0)  # first index on ties, like min(tuples)
     any_comp = np.isfinite(t_done)
+    winner = np.where(any_comp, comp_end.argmin(axis=0), -1)  # first on ties
     rerun = np.flatnonzero(any_comp & (t_done > t0))
     if rerun.size:
         for g, ctx in enumerate(ctxs):
@@ -469,43 +515,150 @@ def replay_window_batch(
             ):
                 getattr(runs[g], name)[idx] = getattr(sub, name)
 
-    outcomes = []
-    for i in range(t0.size):
-        horizon_i = float(t_done[i]) if any_comp[i] else float(t1[i])
-        records = _records_at(ctxs, runs, i, horizon_i)
-        cost = sum(r.spot_cost for r in records)
-        if any_comp[i]:
-            win_spec = problem.groups[decision.groups[int(winner[i])].group_index]
-            outcomes.append(
-                WindowOutcome(
-                    records=records,
-                    cost=cost,
-                    completed=True,
-                    completed_key=str(win_spec.key),
-                    completion_time=float(t_done[i]),
-                    gained_fraction=1.0,
-                    all_dead_at=None,
-                )
+    # Per-window totals, folded group by group in decision order as the
+    # scalar's sum()/max() over the records do.
+    horizon = np.where(any_comp, t_done, t1)
+    cost = np.zeros(t0.size)
+    gained = np.zeros(t0.size)
+    dead_at = np.full(t0.size, -np.inf)
+    alive = np.zeros(t0.size, dtype=bool)
+    for g, (ctx, run) in enumerate(zip(ctxs, runs)):
+        cost = cost + run.cost
+        work_g = ctx.work if works is None else works[g]
+        gained = np.maximum(gained, run.saved / work_g)
+        dead_at = np.maximum(dead_at, np.where(run.launched, run.end, horizon))
+        alive |= ~run.terminated
+    return WindowBatch(
+        ctxs=ctxs,
+        groups=runs,
+        horizon=horizon,
+        winner=winner,
+        cost=cost,
+        gained_fraction=np.where(any_comp, 1.0, gained),
+        all_dead_at=np.where(any_comp | alive, np.nan, dead_at),
+    )
+
+
+@dataclass(eq=False)
+class ReplayBatch(Sequence):
+    """:func:`replay_batch`'s result: one array per :class:`RunResult`
+    field, one element per start.
+
+    ``completed_by`` holds the finishing group's decision position, or
+    :data:`ONDEMAND`; ``spot_cost`` / ``ondemand_cost`` /
+    ``storage_cost`` are the ledger totals by category; ``groups[g]``
+    holds decision group ``g``'s columns.  ``batch[i]`` builds start
+    ``i``'s :class:`RunResult`, records and ledger text included, once,
+    and hands it through :func:`observe_result`.
+    """
+
+    problem: Problem
+    decision: Decision
+    history: SpotPriceHistory
+    billing: BillingPolicy
+    semantics: str
+    account_storage: bool
+    start_time: np.ndarray
+    cost: np.ndarray
+    makespan: np.ndarray
+    completed_by: np.ndarray
+    ondemand_hours: np.ndarray
+    spot_cost: np.ndarray
+    ondemand_cost: np.ndarray
+    storage_cost: np.ndarray
+    recovery_ratio: np.ndarray  # work share the on-demand fallback reran
+    window: Optional[WindowBatch]  # None for a decision without spot groups
+
+    def __post_init__(self) -> None:
+        self._results: list = [None] * self.start_time.size
+
+    @property
+    def groups(self) -> Sequence[GroupColumns]:
+        return () if self.window is None else self.window.groups
+
+    @property
+    def spot_completed(self) -> np.ndarray:
+        return self.completed_by >= 0
+
+    @property
+    def ondemand_completed(self) -> np.ndarray:
+        return self.completed_by == ONDEMAND
+
+    def __len__(self) -> int:
+        return self.start_time.size
+
+    def __eq__(self, other) -> bool:
+        """Equal when the materialised results are, as for lists."""
+        if isinstance(other, (ReplayBatch, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __getitem__(self, i: int) -> RunResult:
+        i = range(len(self))[i]
+        result = self._results[i]
+        if result is None:
+            result = self._results[i] = (
+                self._ondemand_result(i) if self.window is None
+                else self._spot_result(i)
             )
-            continue
-        gained = 0.0
-        for g, (ctx, rec) in enumerate(zip(ctxs, records)):
-            work_gi = ctx.work if works is None else float(works[g][i])
-            gained = max(gained, rec.saved / work_gi)
-        any_alive = any(not r.terminated for r in records)
-        all_dead_at = None if any_alive else max(r.end_time for r in records)
-        outcomes.append(
-            WindowOutcome(
-                records=records,
-                cost=cost,
-                completed=False,
-                completed_key=None,
-                completion_time=None,
-                gained_fraction=gained,
-                all_dead_at=all_dead_at,
+        return result
+
+    def _observed(self, result: RunResult) -> RunResult:
+        return observe_result(
+            result, self.problem, self.decision, self.history, self.billing,
+            self.semantics, self.account_storage,
+        )
+
+    def _ondemand_result(self, i: int) -> RunResult:
+        ondemand = self.problem.ondemand_options[self.decision.ondemand_index]
+        ledger = CostLedger()
+        ledger.add(
+            "ondemand", f"full run on {ondemand.itype.name}",
+            float(self.ondemand_cost[i]),
+        )
+        return self._observed(
+            RunResult(
+                start_time=float(self.start_time[i]),
+                cost=float(self.cost[i]),
+                makespan=float(self.makespan[i]),
+                completed_by="ondemand",
+                ondemand_hours=float(self.ondemand_hours[i]),
+                group_records=(),
+                ledger=ledger,
             )
         )
-    return outcomes
+
+    def _spot_result(self, i: int) -> RunResult:
+        records = self.window.records(i)
+        ledger = CostLedger()
+        for rec in records:
+            ledger.add("spot", f"{rec.key} bid=${rec.bid:.4f}", rec.spot_cost)
+        code = int(self.completed_by[i])
+        if code == ONDEMAND:
+            ondemand = self.problem.ondemand_options[self.decision.ondemand_index]
+            ledger.add(
+                "ondemand",
+                f"recovery of {float(self.recovery_ratio[i]):.2%} "
+                f"on {ondemand.itype.name}",
+                float(self.ondemand_cost[i]),
+            )
+            completed_by = "ondemand"
+        else:
+            completed_by = str(self.window.ctxs[code].spec.key)
+        storage = float(self.storage_cost[i])
+        if storage > 0:
+            ledger.add("storage", "checkpoint images", storage)
+        return self._observed(
+            RunResult(
+                start_time=float(self.start_time[i]),
+                cost=float(self.cost[i]),
+                makespan=float(self.makespan[i]),
+                completed_by=completed_by,
+                ondemand_hours=float(self.ondemand_hours[i]),
+                group_records=records,
+                ledger=ledger,
+            )
+        )
 
 
 def replay_batch(
@@ -517,40 +670,58 @@ def replay_batch(
     semantics: str = "single-shot",
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-) -> list[RunResult]:
+) -> ReplayBatch:
     """Replay ``decision`` from every start in ``starts`` (the semantics
     of :func:`repro.execution.replay.replay_decision`, per start), with
     the trace scans batched across starts.  A decision without spot
-    groups is a full on-demand run from each start."""
+    groups is a full on-demand run from each start.
+
+    With tracing or auditing on, every result is built and observed
+    before this returns, in start order; otherwise results are built
+    only when indexed.
+    """
     if semantics not in SEMANTICS:
         raise ConfigurationError(
             f"unknown semantics {semantics!r}; known: {SEMANTICS}"
         )
     starts = np.asarray(starts, dtype=float)
+    n = starts.size
     metrics = obs.get_metrics()
     metrics.inc("replay.batch_runs")
-    metrics.inc("replay.batch_starts", starts.size)
-    ondemand = problem.ondemand_options[decision.ondemand_index]
-    if not decision.groups:
-        out = []
-        for t in starts:
-            ledger = CostLedger()
-            cost = ondemand.full_run_cost
-            ledger.add("ondemand", f"full run on {ondemand.itype.name}", cost)
-            out.append(
-                observe_result(
-                    RunResult(
-                        start_time=float(t), cost=cost,
-                        makespan=ondemand.exec_time, completed_by="ondemand",
-                        ondemand_hours=ondemand.exec_time,
-                        group_records=(), ledger=ledger,
-                    ),
-                    problem, decision, history, billing, semantics,
-                    account_storage,
-                )
-            )
-        return out
+    metrics.inc("replay.batch_starts", n)
+    if decision.groups:
+        columns = _spot_columns(
+            problem, decision, history, starts, horizon,
+            semantics == "persistent", billing, account_storage,
+        )
+    else:
+        ondemand = problem.ondemand_options[decision.ondemand_index]
+        columns = dict(
+            cost=np.full(n, ondemand.full_run_cost),
+            makespan=np.full(n, ondemand.exec_time),
+            completed_by=np.full(n, ONDEMAND),
+            ondemand_hours=np.full(n, ondemand.exec_time),
+            spot_cost=np.zeros(n),
+            ondemand_cost=np.full(n, ondemand.full_run_cost),
+            storage_cost=np.zeros(n),
+            recovery_ratio=np.ones(n),
+            window=None,
+        )
+    batch = ReplayBatch(
+        problem=problem, decision=decision, history=history, billing=billing,
+        semantics=semantics, account_storage=account_storage,
+        start_time=starts, **columns,
+    )
+    if obs.trace_active() or obs.audit_enabled():
+        list(batch)  # build and observe every result now, in start order
+    return batch
 
+
+def _spot_columns(
+    problem, decision, history, starts, horizon, persistent, billing,
+    account_storage,
+) -> dict:
+    """:class:`ReplayBatch` columns of a decision with spot groups."""
     if horizon is None:
         horizon = decision_horizon(problem, decision)
     t1 = starts + horizon
@@ -571,76 +742,42 @@ def replay_batch(
     if np.any(t1 <= starts):
         raise TraceError("no trace data at the requested start time")
 
-    outcomes = replay_window_batch(
+    window = replay_window_batch(
         problem, decision, history, starts, t1,
-        persistent=(semantics == "persistent"), billing=billing,
+        persistent=persistent, billing=billing,
     )
+    done = window.completed
 
-    out = []
-    for i, outcome in enumerate(outcomes):
-        t0_i = float(starts[i])
-        ledger = CostLedger()
-        for rec in outcome.records:
-            ledger.add("spot", f"{rec.key} bid=${rec.bid:.4f}", rec.spot_cost)
-        if outcome.completed:
-            storage = 0.0
-            if account_storage:
-                storage = checkpoint_storage_cost(
-                    problem, decision, outcome.records, outcome.completion_time
-                )
-                if storage > 0:
-                    ledger.add("storage", "checkpoint images", storage)
-            result = RunResult(
-                start_time=t0_i,
-                cost=outcome.cost + storage,
-                makespan=outcome.completion_time - t0_i,
-                completed_by=outcome.completed_key,
-                ondemand_hours=0.0,
-                group_records=outcome.records,
-                ledger=ledger,
+    # On-demand recovery from the best checkpoint (Formula 7), for the
+    # starts no spot group finished.
+    ratio = np.ones(starts.size)
+    for gd, run in zip(decision.groups, window.groups):
+        spec = problem.groups[gd.group_index]
+        r = (spec.exec_time - run.saved + spec.recovery_overhead) / spec.exec_time
+        clipped = np.maximum(0.0, np.minimum(1.0, r))
+        ratio = np.where(run.saved > 0, np.minimum(ratio, clipped), ratio)
+    ondemand = problem.ondemand_options[decision.ondemand_index]
+    od_start = np.where(np.isnan(window.all_dead_at), t1, window.all_dead_at)
+    od_hours = np.where(done, 0.0, ratio * ondemand.exec_time)
+    od_cost = np.where(done, 0.0, od_hours * ondemand.fleet_rate)
+    run_end = np.where(done, window.horizon, od_start + od_hours)
+
+    storage = np.zeros(starts.size)
+    if account_storage:
+        for i in range(starts.size):
+            storage[i] = checkpoint_storage_cost(
+                problem, decision, window.records(i), float(run_end[i])
             )
-        else:
-            # On-demand recovery from the best checkpoint (Formula 7).
-            min_ratio = 1.0
-            for gd, rec in zip(decision.groups, outcome.records):
-                spec = problem.groups[gd.group_index]
-                if rec.saved > 0:
-                    r = (
-                        spec.exec_time - rec.saved + spec.recovery_overhead
-                    ) / spec.exec_time
-                    min_ratio = min(min_ratio, max(0.0, min(1.0, r)))
-            od_start = (
-                outcome.all_dead_at
-                if outcome.all_dead_at is not None
-                else float(t1[i])
-            )
-            od_hours = min_ratio * ondemand.exec_time
-            od_cost = od_hours * ondemand.fleet_rate
-            ledger.add(
-                "ondemand",
-                f"recovery of {min_ratio:.2%} on {ondemand.itype.name}",
-                od_cost,
-            )
-            storage = 0.0
-            if account_storage:
-                storage = checkpoint_storage_cost(
-                    problem, decision, outcome.records, od_start + od_hours
-                )
-                if storage > 0:
-                    ledger.add("storage", "checkpoint images", storage)
-            result = RunResult(
-                start_time=t0_i,
-                cost=outcome.cost + od_cost + storage,
-                makespan=(od_start - t0_i) + od_hours,
-                completed_by="ondemand",
-                ondemand_hours=od_hours,
-                group_records=outcome.records,
-                ledger=ledger,
-            )
-        out.append(
-            observe_result(
-                result, problem, decision, history, billing, semantics,
-                account_storage,
-            )
-        )
-    return out
+    return dict(
+        cost=np.where(done, window.cost, window.cost + od_cost) + storage,
+        makespan=np.where(
+            done, window.horizon - starts, (od_start - starts) + od_hours
+        ),
+        completed_by=np.where(done, window.winner, ONDEMAND),
+        ondemand_hours=od_hours,
+        spot_cost=window.cost,
+        ondemand_cost=od_cost,
+        storage_cost=storage,
+        recovery_ratio=ratio,
+        window=window,
+    )

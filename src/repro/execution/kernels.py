@@ -16,6 +16,10 @@ here:
   :func:`repro.core.two_level.clear_shared_caches`, and evicted
   automatically when the trace is garbage collected.
 
+* **Batch spot billing** — :func:`billed_cost_batch` bills a whole
+  array of run windows under either billing policy, bitwise equal per
+  window to :func:`repro.cloud.spot.billed_spot_cost`.
+
 * **Vectorised checkpoint-timeline arithmetic** — elementwise versions
   of :func:`repro.core.ckpt_math.checkpoints_completed`,
   :func:`~repro.core.ckpt_math.total_wall` and
@@ -43,8 +47,7 @@ from ..errors import TraceError
 #: tests/test_batch_parity.py (coverage: tests/test_kernel_oracles.py).
 KERNEL_ORACLES = {
     "trace_tables": "repro.cloud.spot.first_at_or_below",
-    "integrate_price_fast": "repro.cloud.spot.integrate_price",
-    "billed_cost_fast": "repro.cloud.spot.billed_spot_cost",
+    "billed_cost_batch": "repro.cloud.spot.billed_spot_cost",
     "checkpoints_completed_arr": "repro.core.ckpt_math.checkpoints_completed",
     "total_wall_arr": "repro.core.ckpt_math.total_wall",
     "progress_after_wall_arr": "repro.core.ckpt_math.progress_after_wall",
@@ -210,51 +213,113 @@ def trace_tables(trace, bid: float) -> TraceBidTables:
 
 
 # ----------------------------------------------------------------------
-# Price integration (bit-identical to cloud.spot.integrate_price)
+# Spot billing (bit-identical to cloud.spot.billed_spot_cost)
 # ----------------------------------------------------------------------
 
-def integrate_price_fast(trace, t0: float, t1: float) -> float:
-    """:func:`repro.cloud.spot.integrate_price` without the slice object.
+def billed_cost_batch(trace, launch, end, interrupted, policy) -> np.ndarray:
+    """:func:`repro.cloud.spot.billed_spot_cost` over arrays of windows.
 
-    ``integrate_price`` builds a validated :class:`SpotPriceTrace` for
-    the window and dots its prices with its segment durations; the
-    construction (list conversion, monotonicity / finiteness checks)
-    dominates the batched kernels' billing loops.  This computes the
-    same ``np.dot`` over the same float64 values — the window's segment
-    starts with ``times[0]`` replaced by ``t0`` and its ends terminated
-    by ``t1`` — so the result is bitwise equal.
+    Returns what one instance owes for each run ``[launch_i, end_i)``;
+    ``interrupted_i`` marks a provider-initiated end.  Every element is
+    bitwise equal to the scalar call on the same arguments, and the
+    scalar's checks are kept: reversed bounds, and any billed instant
+    outside the trace window, raise :class:`TraceError`.
     """
-    if t1 < t0:
-        raise TraceError(f"integration bounds reversed: [{t0}, {t1}]")
-    if t0 == t1:
-        return 0.0
-    times = trace.times
-    if not (times[0] <= t0 and t1 <= trace.end_time):
+    launch = np.asarray(launch, dtype=float)
+    end = np.asarray(end, dtype=float)
+    if np.any(end < launch):
+        i = int(np.flatnonzero(end < launch)[0])
+        raise TraceError(f"billing bounds reversed: [{launch[i]}, {end[i]}]")
+    g = getattr(policy, "granularity_hours", 0.0)
+    if not g:  # granularity 0 = continuous billing (BillingPolicy.is_continuous)
+        return _integrate_batch(trace, launch, end)
+    return _hourly_batch(
+        trace, launch, end, np.asarray(interrupted, dtype=bool), g,
+        getattr(policy, "refund_interrupted_hour", False),
+    )
+
+
+def _integrate_batch(trace, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Per-window price integrals, each equal to ``integrate_price``.
+
+    The scalar dots the window's prices with ``ends - starts``, where
+    the window's segment starts are ``times[lo:hi]`` with the first
+    replaced by ``t0`` and its ends are ``times[lo+1:hi]`` followed by
+    ``t1``.  Every inner duration is therefore ``times[j+1] - times[j]``,
+    the very subtraction ``np.diff`` makes once for the whole trace; only
+    the first and last duration of each window differ, and those two
+    are patched per window.  The dot itself stays one ``np.dot`` per
+    window over the same slices, because its summation order belongs to
+    BLAS.  A one-segment window is a single product, the one rounding
+    any dot of length one makes, so those are computed for all windows
+    at once.
+    """
+    cost = np.zeros(t0.size)
+    bill = np.flatnonzero(t1 > t0)  # t0 == t1 is free, unchecked
+    if bill.size == 0:
+        return cost
+    times, prices = trace.times, trace.prices
+    t0, t1 = t0[bill], t1[bill]
+    if t0.min() < times[0] or t1.max() > trace.end_time:
+        i = int(np.flatnonzero((t0 < times[0]) | (t1 > trace.end_time))[0])
         raise TraceError(
-            f"slice [{t0}, {t1}) outside window "
+            f"slice [{t0[i]}, {t1[i]}) outside window "
             f"[{trace.start_time}, {trace.end_time})"
         )
-    lo = int(np.searchsorted(times, t0, side="right") - 1)
-    hi = int(np.searchsorted(times, t1, side="left"))
-    starts = times[lo:hi].copy()
-    starts[0] = t0
-    ends = np.append(times[lo + 1 : hi], t1)
-    return float(np.dot(trace.prices[lo:hi], ends - starts))
+    lo = np.searchsorted(times, t0, side="right") - 1
+    hi = np.searchsorted(times, t1, side="left")
+    single = hi - lo == 1
+    cost[bill[single]] = prices[lo[single]] * (t1[single] - t0[single])
+    multi = np.flatnonzero(~single)
+    if multi.size:
+        inner = np.append(np.diff(times), 0.0)  # last slot always patched
+        lo, hi = lo[multi], hi[multi]
+        first = times[lo + 1] - t0[multi]
+        last = t1[multi] - times[hi - 1]
+        out = bill[multi]
+        for k, a, b, d0, d1 in zip(
+            out.tolist(), lo.tolist(), hi.tolist(), first.tolist(),
+            last.tolist(),
+        ):
+            dur = inner[a:b].copy()
+            dur[0] = d0
+            dur[-1] = d1
+            cost[k] = np.dot(prices[a:b], dur)
+    return cost
 
 
-def billed_cost_fast(trace, launch: float, end: float, interrupted: bool, policy) -> float:
-    """:func:`repro.cloud.spot.billed_spot_cost`, fast continuous path.
+def _hourly_batch(trace, launch, end, interrupted, g: float, refund: bool):
+    """Hour-locked bills, each equal to the scalar's ``cost += p * g``.
 
-    Continuous billing (granularity 0) delegates to
-    :func:`integrate_price_fast`; any hourly policy falls back to the
-    scalar ``billed_spot_cost`` (its per-hour price lookups are already
-    the exact semantics and are rare in the hot Monte-Carlo loops).
+    Window ``i`` owes ``n_full_i`` whole hours plus, unless refunded,
+    its final partial hour, billed at the price in effect when that hour
+    began.  The hours are added one column at a time, so each window's
+    sum runs strictly in hour order exactly like the scalar loop; a
+    window with fewer hours adds ``0.0``, which leaves every float
+    unchanged.  Memory stays at a few ``n``-element columns however long
+    the windows are.  The scalar clamps hour starts to
+    ``nextafter(end_time, -inf)`` so ``price_at`` accepts them; the
+    ``searchsorted`` here already maps every instant at or past the last
+    change point to the last segment, so it needs no clamp.
     """
-    if getattr(policy, "is_continuous", False):
-        return integrate_price_fast(trace, launch, end)
-    from ..cloud.spot import billed_spot_cost
-
-    return billed_spot_cost(trace, launch, end, interrupted, policy)
+    duration = end - launch
+    n_full = np.floor(duration / g + 1e-12)
+    partial = duration - n_full * g
+    hours = n_full + ((partial > 1e-12) & ~(interrupted & refund))
+    cost = np.zeros(launch.size)
+    billed = hours > 0
+    if not billed.any():
+        return cost
+    if launch[billed].min() < trace.start_time:
+        bad = launch[billed & (launch < trace.start_time)][0]
+        raise TraceError(
+            f"t={bad} outside trace window [{trace.start_time}, {trace.end_time})"
+        )
+    times, prices = trace.times, trace.prices
+    for k in range(int(hours.max())):
+        price = prices[np.searchsorted(times, launch + k * g, side="right") - 1]
+        cost += np.where(k < hours, price * g, 0.0)
+    return cost
 
 
 # ----------------------------------------------------------------------

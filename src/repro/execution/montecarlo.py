@@ -10,11 +10,13 @@ Execution strategy: every replay — single-shot *and* persistent,
 either billing policy, with or without storage accounting, pure
 on-demand decisions included — is batched through :mod:`.batch_replay`
 (bit-identical to the scalar parity oracle, see that module).  One
-batched array pass already covers every starting point, so both entry
-points replay in the calling process: splitting the starts over worker
-processes measured slower than serial at every size, because shipping
-the :class:`~.results.RunResult` lists home costs more than the replay
-saves (EXPERIMENTS.md, "Monte-Carlo replay back in-process").
+batched array pass already covers every starting point and returns
+columns, a :class:`~.batch_replay.ReplayBatch`;
+:meth:`MonteCarloSummary.from_results` reads those columns, so no
+per-start :class:`~.results.RunResult` is built unless a caller indexes
+the batch.  Both entry points replay in the calling process: splitting
+the starts over worker processes measured slower than serial at every
+size (EXPERIMENTS.md, "Monte-Carlo replay back in-process").
 Parallelism lives one level up, over whole backtest cells and whole
 experiments (DESIGN.md §12).
 """
@@ -30,9 +32,9 @@ from ..cloud.billing import BillingPolicy, CONTINUOUS
 from ..core.problem import Decision, Problem
 from ..errors import TraceError
 from ..market.history import SpotPriceHistory
-from .batch_replay import replay_batch
+from .batch_replay import ReplayBatch, replay_batch
 from .replay import decision_horizon
-from .results import MonteCarloSummary, RunResult
+from .results import MonteCarloSummary
 
 
 def sample_start_times(
@@ -130,7 +132,7 @@ def replay_many(
     semantics: str = "single-shot",
     billing: BillingPolicy = CONTINUOUS,
     account_storage: bool = False,
-) -> list[RunResult]:
+) -> ReplayBatch:
     """Raw replay results (for distribution plots and variance studies)."""
     starts = sample_start_times(
         problem, decision, history, n_samples, rng, horizon, t_min

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..cloud.billing import CostLedger
 from ..errors import ConfigurationError
 from ..market.history import MarketKey
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .batch_replay import ReplayBatch
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,6 @@ class RunResult:
     def completed(self) -> bool:
         return self.completed_by is not None
 
-    def met_deadline(self, deadline: float) -> bool:
-        return self.completed and self.makespan <= deadline + 1e-9
-
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
@@ -76,29 +76,26 @@ class MonteCarloSummary:
 
     @classmethod
     def from_results(
-        cls, results: Sequence[RunResult], deadline: Optional[float]
+        cls, results: "ReplayBatch", deadline: Optional[float]
     ) -> "MonteCarloSummary":
-        if not results:
+        """Statistics read from a replay batch's columns."""
+        if not len(results):
             # Without this, numpy would hand back NaN means and
             # np.percentile would crash with an opaque IndexError.
             raise ConfigurationError(
                 "cannot summarise an empty result list; draw at least one "
                 "Monte-Carlo sample"
             )
-        costs = np.array([r.cost for r in results])
-        times = np.array([r.makespan for r in results])
-        n = len(results)
+        costs, times = results.cost, results.makespan
+        # Every replay completes (on spot or on demand), so a miss is
+        # just a late finish.
         misses = (
-            float(np.mean([not r.met_deadline(deadline) for r in results]))
+            float(np.mean(~(times <= deadline + 1e-9)))
             if deadline is not None
             else 0.0
         )
-        spot_done = float(
-            np.mean([r.completed_by not in (None, "ondemand") for r in results])
-        )
-        od_done = float(np.mean([r.completed_by == "ondemand" for r in results]))
         return cls(
-            n_samples=n,
+            n_samples=len(results),
             mean_cost=float(costs.mean()),
             std_cost=float(costs.std()),
             mean_time=float(times.mean()),
@@ -106,6 +103,6 @@ class MonteCarloSummary:
             p95_cost=float(np.percentile(costs, 95)),
             p95_time=float(np.percentile(times, 95)),
             deadline_miss_rate=misses,
-            spot_completion_rate=spot_done,
-            ondemand_fallback_rate=od_done,
+            spot_completion_rate=float(np.mean(results.spot_completed)),
+            ondemand_fallback_rate=float(np.mean(results.ondemand_completed)),
         )

@@ -16,9 +16,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from repro import obs
-from repro.cloud.billing import CONTINUOUS, HOURLY
+from repro.cloud.billing import CONTINUOUS, HOURLY, BillingPolicy
 from repro.cloud.instance_types import get_instance_type
 from repro.core.bid_search import log_bid_candidates
 from repro.core.cost_model import GroupOutcome
@@ -35,6 +37,7 @@ from repro.core.interval import (
 )
 from repro.core.problem import Decision, GroupDecision, OnDemandOption, Problem
 from repro.core.two_level import clear_shared_caches
+from repro.errors import TraceError
 from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.batch_replay import replay_batch, replay_window_batch
 from repro.execution.kernels import table_cache_size
@@ -316,17 +319,19 @@ class TestKernelOracleParity:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_integrate_price_fast_bitwise_equal(self, seed):
+        """Continuous billing is the price integral, window by window."""
         from repro.cloud.spot import integrate_price
-        from repro.execution.kernels import integrate_price_fast
+        from repro.execution.kernels import billed_cost_batch
 
         trace = self._trace(seed)
         r = np.random.default_rng(seed + 1)
-        for _ in range(50):
-            t0, t1 = np.sort(r.uniform(0.0, trace.end_time, 2))
-            assert integrate_price_fast(trace, t0, t1) == integrate_price(
-                trace, t0, t1
-            )
-        assert integrate_price_fast(trace, 3.0, 3.0) == 0.0
+        t0, t1 = np.sort(r.uniform(0.0, trace.end_time, (2, 50)), axis=0)
+        got = billed_cost_batch(trace, t0, t1, np.zeros(50, bool), CONTINUOUS)
+        for i in range(50):
+            assert got[i] == integrate_price(trace, t0[i], t1[i]), i
+        assert billed_cost_batch(
+            trace, np.array([3.0]), np.array([3.0]), [False], CONTINUOUS
+        ).tolist() == [0.0]
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("policy", [CONTINUOUS, HOURLY])
@@ -335,15 +340,18 @@ class TestKernelOracleParity:
         self, seed, policy, interrupted
     ):
         from repro.cloud.spot import billed_spot_cost
-        from repro.execution.kernels import billed_cost_fast
+        from repro.execution.kernels import billed_cost_batch
 
         trace = self._trace(seed)
         r = np.random.default_rng(seed + 2)
-        for _ in range(25):
-            launch, end = np.sort(r.uniform(0.0, trace.end_time, 2))
-            assert billed_cost_fast(
-                trace, launch, end, interrupted, policy
-            ) == billed_spot_cost(trace, launch, end, interrupted, policy)
+        launch, end = np.sort(r.uniform(0.0, trace.end_time, (2, 25)), axis=0)
+        got = billed_cost_batch(
+            trace, launch, end, np.full(25, interrupted), policy
+        )
+        for i in range(25):
+            assert got[i] == billed_spot_cost(
+                trace, launch[i], end[i], interrupted, policy
+            ), i
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_checkpoints_completed_arr_elementwise(self, seed):
@@ -469,6 +477,185 @@ class TestKernelOracleParity:
                 assert have.times.tobytes() == trace.times.tobytes(), key
                 assert have.prices.tobytes() == trace.prices.tobytes(), key
                 assert have.end_time == trace.end_time, key
+
+
+NO_REFUND = BillingPolicy(granularity_hours=1.0, refund_interrupted_hour=False)
+QUARTER = BillingPolicy(granularity_hours=0.25)
+BILLING_POLICIES = [CONTINUOUS, HOURLY, NO_REFUND, QUARTER]
+BILLING_IDS = ["continuous", "hourly", "no-refund", "quarter-hour"]
+
+
+def assert_bills_match(trace, launch, end, interrupted, policy):
+    """billed_cost_batch against billed_spot_cost, bit for bit."""
+    from repro.cloud.spot import billed_spot_cost
+    from repro.execution.kernels import billed_cost_batch
+
+    launch = np.asarray(launch, dtype=float)
+    end = np.asarray(end, dtype=float)
+    interrupted = np.broadcast_to(np.asarray(interrupted, bool), launch.shape)
+    got = billed_cost_batch(trace, launch, end, interrupted, policy)
+    assert got.dtype == np.float64 and got.shape == launch.shape
+    for i in range(launch.size):
+        want = billed_spot_cost(
+            trace, float(launch[i]), float(end[i]), bool(interrupted[i]),
+            policy,
+        )
+        assert got[i].view(np.uint64) == np.float64(want).view(np.uint64), (
+            i, launch[i], end[i], bool(interrupted[i]),
+        )
+    return got
+
+
+class TestBilledCostBatch:
+    """The batch billing kernel on the edges of 2014 EC2 billing."""
+
+    #: Prices change exactly on the hour, so hour-locked boundaries land
+    #: on change points.
+    ON_THE_HOUR = SpotPriceTrace(
+        np.arange(24.0), 0.01 * (1.0 + np.arange(24.0) % 5), 24.0
+    )
+
+    @pytest.mark.parametrize("policy", BILLING_POLICIES, ids=BILLING_IDS)
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_launches_on_hour_boundaries(self, policy, interrupted):
+        launch = np.repeat(np.arange(0.0, 20.0), 4)
+        end = launch + np.tile([1.0, 2.0, 2.5, 3.75], 20)
+        assert_bills_match(self.ON_THE_HOUR, launch, end, interrupted, policy)
+
+    @pytest.mark.parametrize("policy", BILLING_POLICIES, ids=BILLING_IDS)
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_windows_reaching_the_trace_end(self, policy, interrupted):
+        trace = RegimeSwitchingGenerator(
+            _SPIKY, np.random.default_rng(SEEDS[0])
+        ).generate(120.0)
+        r = np.random.default_rng(4)
+        launch = np.concatenate([
+            trace.end_time - r.uniform(0.0, 9.0, 30),
+            trace.end_time - np.arange(1.0, 6.0),  # whole hours to the end
+        ])
+        end = np.full(launch.size, trace.end_time)
+        assert_bills_match(trace, launch, end, interrupted, policy)
+
+    @pytest.mark.parametrize("policy", [HOURLY, NO_REFUND, QUARTER],
+                             ids=["hourly", "no-refund", "quarter-hour"])
+    def test_hours_past_the_trace_end_use_the_last_price(self, policy):
+        """Hour boundaries at or past the end are clamped just inside it."""
+        trace = self.ON_THE_HOUR
+        launch = np.array([20.5, 22.0, 23.0, 23.9])
+        end = np.array([26.0, 24.0, 25.5, 30.0])
+        got = assert_bills_match(trace, launch, end, False, policy)
+        assert got[-1] > 0.0
+
+    def test_interrupted_partial_hour_is_refunded_only_with_refund(self):
+        trace = self.ON_THE_HOUR
+        launch = np.array([1.0, 1.0, 4.2, 4.2])
+        end = np.array([3.5, 3.5, 4.7, 4.7])
+        interrupted = np.array([True, False, True, False])
+        hourly = assert_bills_match(trace, launch, end, interrupted, HOURLY)
+        assert hourly[0] < hourly[1] and hourly[2] == 0.0 < hourly[3]
+        kept = assert_bills_match(trace, launch, end, interrupted, NO_REFUND)
+        assert kept[0] == kept[1] and kept[2] == kept[3] > 0.0
+
+    @pytest.mark.parametrize("policy", BILLING_POLICIES, ids=BILLING_IDS)
+    @pytest.mark.parametrize("interrupted", [False, True])
+    def test_zero_length_and_sub_tolerance_partials(self, policy, interrupted):
+        base = np.array([0.0, 3.0, 7.25, 11.5, 21.0])
+        launch = np.tile(base, 4)
+        end = launch + np.repeat([0.0, 5e-13, 2.0 + 5e-13, 1.0 - 5e-13], 5)
+        got = assert_bills_match(
+            self.ON_THE_HOUR, launch, end, interrupted, policy
+        )
+        assert (got[:5] == 0.0).all()
+
+    @pytest.mark.parametrize("policy", BILLING_POLICIES, ids=BILLING_IDS)
+    def test_empty_batch(self, policy):
+        from repro.execution.kernels import billed_cost_batch
+
+        got = billed_cost_batch(
+            self.ON_THE_HOUR, np.empty(0), np.empty(0), np.empty(0, bool),
+            policy,
+        )
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("billing", [HOURLY, NO_REFUND],
+                             ids=["hourly", "no-refund"])
+    @pytest.mark.parametrize("semantics", ["single-shot", "persistent"])
+    def test_many_instances_per_group(self, billing, semantics):
+        """Replays bill n_instances times the per-instance kernel."""
+        problem, decision, h = spiky_setup(SEEDS[1])
+        problem = dataclasses.replace(problem, groups=tuple(
+            dataclasses.replace(g, n_instances=n)
+            for g, n in zip(problem.groups, (5, 3))
+        ))
+        starts = sample_start_times(
+            problem, decision, h, 12, np.random.default_rng(8)
+        )
+        batch = replay_batch(
+            problem, decision, h, starts, semantics=semantics, billing=billing
+        )
+        for t, got in zip(starts, batch):
+            want = replay_decision(
+                problem, decision, h, float(t), semantics=semantics,
+                billing=billing,
+            )
+            assert_runs_equal(want, got, f"{billing}/{semantics}")
+
+    @pytest.mark.parametrize("policy", BILLING_POLICIES, ids=BILLING_IDS)
+    @pytest.mark.parametrize("launch, end", [
+        (5.0, 4.0),  # reversed bounds
+        (-1.0, 2.5),  # launch before the trace starts
+        (-3.0, -1.0),  # the whole window before the trace
+        (22.5, 30.0),  # past the end: continuous integrates past the trace
+    ], ids=["reversed", "early-launch", "before-trace", "past-end"])
+    def test_bad_windows_raise_what_the_scalar_raises(
+        self, policy, launch, end
+    ):
+        from repro.cloud.spot import billed_spot_cost
+        from repro.execution.kernels import billed_cost_batch
+
+        trace = self.ON_THE_HOUR
+        try:
+            want = billed_spot_cost(trace, launch, end, False, policy)
+        except Exception as exc:  # noqa: BLE001 - the type is the oracle
+            want = type(exc)
+        ok_launch, ok_end = np.array([1.0, 2.0]), np.array([3.0, 2.5])
+        try:
+            got = billed_cost_batch(
+                trace, np.append(ok_launch, launch), np.append(ok_end, end),
+                np.zeros(3, bool), policy,
+            )[-1]
+        except Exception as exc:  # noqa: BLE001
+            got = type(exc)
+        assert got == want
+        if launch > end or (launch < 0.0 and end > launch):
+            assert want is TraceError  # every such window is refused
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=hyp.data())
+    def test_random_traces_and_windows(self, data):
+        n = data.draw(hyp.integers(1, 8), label="segments")
+        start = data.draw(hyp.sampled_from([0.0, 13.7, 2.0**19]))
+        gaps = data.draw(hyp.lists(
+            hyp.floats(0.01, 5.0), min_size=n, max_size=n))
+        times = start + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+        prices = data.draw(hyp.lists(
+            hyp.floats(0.0, 3.0), min_size=n, max_size=n))
+        end_time = float(times[-1]) + gaps[-1]
+        trace = SpotPriceTrace(times, prices, end_time)
+        m = data.draw(hyp.integers(1, 6), label="windows")
+        launch, end = [], []
+        for _ in range(m):
+            a = data.draw(hyp.floats(start, end_time, exclude_max=True))
+            b = data.draw(hyp.one_of(
+                hyp.just(a), hyp.just(end_time),
+                hyp.floats(a, end_time),
+                hyp.floats(0.0, 4.0).map(lambda d, a=a: min(a + d, end_time)),
+            ))
+            launch.append(a)
+            end.append(b)
+        interrupted = data.draw(hyp.lists(hyp.booleans(), min_size=m, max_size=m))
+        policy = data.draw(hyp.sampled_from(BILLING_POLICIES))
+        assert_bills_match(trace, launch, end, interrupted, policy)
 
 
 class TestGridEvalParity:

@@ -831,7 +831,7 @@ class TestMetaRealCode:
 
     def test_module_level_generator_fires_r014(self, tmp_path):
         rel = "src/repro/execution/montecarlo.py"
-        anchor = "from .batch_replay import replay_batch"
+        anchor = "from .batch_replay import ReplayBatch, replay_batch"
         inserted = "_FALLBACK_RNG = np.random.default_rng()"
         mutations = {rel: [(anchor, anchor + "\n\n" + inserted)]}
         paths, texts = self._copy(tmp_path, mutations)
