@@ -177,12 +177,14 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 def _warm_artifacts(args: argparse.Namespace, root: Path) -> None:
     """Pre-populate the store: plan every requested (app, deadline) cell.
 
-    Planning writes the planner's disk artifacts — packed search
-    sidecar, group tables, survival grids — keyed by trace content +
+    Planning writes the planner's disk artifacts — search sidecar
+    parts, group tables, survival grids — keyed by trace content +
     engine fingerprint, so any later process over the same history (CI
     test shards, benches, experiment runs) starts disk-warm instead of
-    recomputing them.  Trace/bid index tables are not among them:
-    planning never replays, so those are written by the first replay.
+    recomputing them.  A plan that computes nothing new writes nothing,
+    so re-warming a warm store leaves its file count unchanged.
+    Trace/bid index tables are not among them: planning never replays,
+    so those are written by the first replay.
     """
     from .experiments.env import LOOSE_DEADLINE_FACTOR, TIGHT_DEADLINE_FACTOR
 

@@ -39,7 +39,9 @@ per-problem table bundle, the survival grids and the search sidecar
 (subset score vectors + exact re-evaluations) are persisted to the
 on-disk artifact store (:mod:`repro.execution.artifacts`) at
 ``config.artifact_dir``: a cold process warms from disk instead of
-rebuilding.  Loads are fail-open and artifacts store the exact float64
+rebuilding.  The sidecar is written in parts: each optimizer saves only
+the entries it computed itself, and a load merges every part of the
+scope.  Loads are fail-open and artifacts store the exact float64
 arrays the build produced, so results are bit-identical with the store
 on, off (``REPRO_ARTIFACT_DIR=""``), deleted or corrupted mid-run.
 """
@@ -298,7 +300,10 @@ class TwoLevelOptimizer:
         self._grids_ready = False
         self._wall_hi = 0.0
         self._sidecar_key: Optional[str] = None
-        self._sidecar_seen: set = set()
+        # Cache entries this optimizer computed itself (not served from
+        # memory or disk): exactly what its sidecar part persists.
+        self._added_scores: dict = {}
+        self._added_exacts: dict = {}
         self.combos_evaluated = 0
         self.subsets_pruned = 0
         from ..execution.artifacts import get_store
@@ -535,118 +540,104 @@ class TwoLevelOptimizer:
         return self._sidecar_key
 
     def _load_sidecar(self) -> None:
-        """Merge the persisted subset-score vectors and exact
-        re-evaluations for this scope into the process caches."""
+        """Merge every persisted part of this scope's sidecar (subset
+        score vectors and exact re-evaluations) into the process caches.
+
+        Entries are pure functions of their keys, so a key already
+        cached, or repeated across parts, merges idempotently.
+        """
         key = self._sidecar_scope()
         if key is None or key in _SIDECAR_LOADED:
             return
         _SIDECAR_LOADED.add(key)
-        arrays = self._store.load("search_sidecar", key)
-        if arrays is None:
-            return
-        odc, odt = self.ondemand.full_run_cost, self.ondemand.exec_time
-        # Packed schema: thousands of cached entries live in ten flat
-        # arrays (one npz member per *column*, not per entry) because
-        # npz pays a fixed header-parse cost per member — a
-        # member-per-entry layout made loading slower than rebuilding.
-        try:
-            s_ntok = arrays["s_ntok"].astype(np.int64)
-            s_rows = arrays["s_rows"].astype(np.int64)
-            s_toks = arrays["s_toks"]
-            s_batch, s_cost = arrays["s_batch"], arrays["s_cost"]
-            s_time = arrays["s_time"]
-            tok_off = row_off = cell_off = 0
-            for e in range(s_ntok.size):
-                k, rows = int(s_ntok[e]), int(s_rows[e])
-                toks = tuple(
-                    str(t) for t in s_toks[tok_off:tok_off + k]
+        for arrays in self._store.load("search_sidecar", key, parts=True) or ():
+            try:
+                self._merge_sidecar_part(arrays)
+            except (KeyError, IndexError, TypeError, ValueError):
+                # A part whose checksum holds but whose schema does not
+                # fit: whatever merged so far is exact; the rest
+                # recomputes.
+                continue
+
+    def _merge_sidecar_part(self, arrays: dict) -> None:
+        # Packed schema: a part's entries live in flat columns (one
+        # container column per field, not per entry), token strings
+        # once per part with entries holding indices into them.
+        tokens = arrays["tokens"].tolist()
+        s_ntok = arrays["s_ntok"].tolist()
+        s_rows = arrays["s_rows"].tolist()
+        s_tok = arrays["s_tok"].tolist()
+        s_batch = arrays["s_batch"].astype(np.intp, copy=False)
+        s_cost, s_time = arrays["s_cost"], arrays["s_time"]
+        if not (
+            len(s_rows) == len(s_ntok)
+            and s_cost.shape == s_time.shape == (sum(s_rows),)
+            and s_batch.size == sum(k * r for k, r in zip(s_ntok, s_rows))
+        ):
+            raise ValueError("inconsistent score columns")
+        tok_off = row_off = cell_off = 0
+        for k, rows in zip(s_ntok, s_rows):
+            ck = (tuple(tokens[t] for t in s_tok[tok_off:tok_off + k]),
+                  self._wall_hi)
+            if ck not in _SUBSET_EVAL_CACHE:
+                _SUBSET_EVAL_CACHE[ck] = (
+                    s_batch[cell_off:cell_off + rows * k].reshape(rows, k),
+                    s_cost[row_off:row_off + rows],
+                    s_time[row_off:row_off + rows],
                 )
-                batch = s_batch[cell_off:cell_off + rows * k]
-                batch = batch.reshape(rows, k).astype(np.intp)
-                cost = s_cost[row_off:row_off + rows]
-                time_v = s_time[row_off:row_off + rows]
-                if cost.size != rows or time_v.size != rows:
-                    raise ValueError("truncated sidecar")
-                tok_off += k
-                row_off += rows
-                cell_off += rows * k
-                ck = (toks, self._wall_hi)
-                self._sidecar_seen.add(("s", ck))
-                if ck not in _SUBSET_EVAL_CACHE:
-                    _SUBSET_EVAL_CACHE[ck] = (batch, cost, time_v)
-            e_ntok = arrays["e_ntok"].astype(np.int64)
-            e_toks, e_combo = arrays["e_toks"], arrays["e_combo"]
-            e_vals = arrays["e_vals"]
-            if e_vals.ndim != 2 or e_vals.shape != (e_ntok.size, 7):
-                raise ValueError("bad exact-value block")
-            off = 0
-            for j in range(e_ntok.size):
-                k = int(e_ntok[j])
-                toks = tuple(str(t) for t in e_toks[off:off + k])
-                combo = tuple(int(c) for c in e_combo[off:off + k])
-                off += k
-                ek = (toks, combo, odc, odt)
-                self._sidecar_seen.add(("e", ek))
-                if ek not in _EXACT_EVAL_CACHE:
-                    _EXACT_EVAL_CACHE[ek] = Expectation(
-                        *(float(x) for x in e_vals[j])
-                    )
-        except (KeyError, IndexError, ValueError):
-            # Half-written schema from an older layout: whatever merged
-            # so far is still exact; the rest recomputes.
-            return
+            tok_off += k
+            row_off += rows
+            cell_off += rows * k
+        odc, odt = self.ondemand.full_run_cost, self.ondemand.exec_time
+        e_ntok = arrays["e_ntok"].tolist()
+        e_tok = arrays["e_tok"].tolist()
+        e_combo = arrays["e_combo"].tolist()
+        e_vals = arrays["e_vals"]
+        if e_vals.shape != (len(e_ntok), 7):
+            raise ValueError("bad exact-value block")
+        off = 0
+        for k, vals in zip(e_ntok, e_vals.tolist()):
+            ek = (tuple(tokens[t] for t in e_tok[off:off + k]),
+                  tuple(e_combo[off:off + k]), odc, odt)
+            off += k
+            if ek not in _EXACT_EVAL_CACHE:
+                _EXACT_EVAL_CACHE[ek] = Expectation(*vals)
 
     def save_search_sidecar(self) -> None:
-        """Persist this scope's slice of the score/exact caches.
+        """Persist the cache entries this optimizer computed as one new
+        part of its scope's sidecar.
 
         Called by :class:`~repro.core.optimizer.SompiOptimizer` after a
-        search completes; a no-op when the store is off or when nothing
-        new was computed since the sidecar was loaded (a fully warm
-        search never rewrites the artifact).
+        search completes.  Only entries computed here are written —
+        never the scope's whole slice of the caches — so a fully warm
+        search writes nothing, and two processes saving the same scope
+        add parts side by side instead of overwriting each other.  A
+        no-op when the store is off.
         """
-        if not self._grids_ready:
+        scores, exacts = self._added_scores, self._added_exacts
+        if not (scores or exacts):
             return
         key = self._sidecar_scope()
         if key is None:
             return
-        mine = {t.token for t in self._tables.values()}
-        odc, odt = self.ondemand.full_run_cost, self.ondemand.exec_time
-        scores = []
-        exacts = []
-        fresh = False
-        for ck, vectors in _SUBSET_EVAL_CACHE.items():
-            toks, whi = ck
-            if whi == self._wall_hi and all(t in mine for t in toks):
-                scores.append((toks, vectors))
-                fresh = fresh or ("s", ck) not in self._sidecar_seen
-        for ek, exact in _EXACT_EVAL_CACHE.items():
-            toks, combo, c, t = ek
-            if c == odc and t == odt and all(tk in mine for tk in toks):
-                exacts.append((toks, combo, exact))
-                fresh = fresh or ("e", ek) not in self._sidecar_seen
-        if not fresh or not (scores or exacts):
-            return
-        # Pack entries into flat columns (see _load_sidecar for why).
-        s_toks: list = []
+        tokens = sorted(t.token for t in self._tables.values())
+        index = {t: i for i, t in enumerate(tokens)}
+        s_tok: list = []
         s_batch: list = []
         s_cost: list = []
         s_time: list = []
-        s_ntok = np.empty(len(scores), dtype=np.int64)
-        s_rows = np.empty(len(scores), dtype=np.int64)
-        for e, (toks, (batch, cost, time_v)) in enumerate(scores):
-            s_ntok[e] = len(toks)
-            s_rows[e] = batch.shape[0]
-            s_toks.extend(toks)
+        s_rows: list = []
+        for (toks, _wall_hi), (batch, cost, time_v) in scores.items():
+            s_tok.extend(index[t] for t in toks)
+            s_rows.append(batch.shape[0])
             s_batch.append(np.asarray(batch, dtype=np.int64).ravel())
             s_cost.append(cost)
             s_time.append(time_v)
-        e_toks: list = []
+        e_tok: list = []
         e_combo: list = []
-        e_ntok = np.empty(len(exacts), dtype=np.int64)
         e_vals = np.empty((len(exacts), 7))
-        for j, (toks, combo, exact) in enumerate(exacts):
-            e_ntok[j] = len(toks)
-            e_toks.extend(toks)
+        for j, ((toks, combo, _c, _t), exact) in enumerate(exacts.items()):
+            e_tok.extend(index[t] for t in toks)
             e_combo.extend(combo)
             e_vals[j] = (
                 exact.cost,
@@ -660,17 +651,20 @@ class TwoLevelOptimizer:
         empty_i = np.empty(0, dtype=np.int64)
         empty_f = np.empty(0)
         self._store.save("search_sidecar", key, {
-            "s_ntok": s_ntok,
-            "s_rows": s_rows,
-            "s_toks": np.array(s_toks),
+            "tokens": np.array(tokens),
+            "s_ntok": np.array([len(k[0]) for k in scores], dtype=np.int64),
+            "s_rows": np.array(s_rows, dtype=np.int64),
+            "s_tok": np.array(s_tok, dtype=np.int64),
             "s_batch": np.concatenate(s_batch) if s_batch else empty_i,
             "s_cost": np.concatenate(s_cost) if s_cost else empty_f,
             "s_time": np.concatenate(s_time) if s_time else empty_f,
-            "e_ntok": e_ntok,
-            "e_toks": np.array(e_toks),
+            "e_ntok": np.array([len(k[0]) for k in exacts], dtype=np.int64),
+            "e_tok": np.array(e_tok, dtype=np.int64),
             "e_combo": np.array(e_combo, dtype=np.int64),
             "e_vals": e_vals,
-        })
+        }, part=True)
+        scores.clear()
+        exacts.clear()
 
     # ------------------------------------------------------------------
     # Pruning bound
@@ -844,6 +838,7 @@ class TwoLevelOptimizer:
                 if len(_SUBSET_EVAL_CACHE) >= _SUBSET_EVAL_CACHE_MAX:
                     _SUBSET_EVAL_CACHE.clear()
                 _SUBSET_EVAL_CACHE[cache_key] = (batch, cost, time)
+                self._added_scores[cache_key] = (batch, cost, time)
             yield batch, cost, time
 
     def _evaluate_exact(
@@ -868,6 +863,7 @@ class TwoLevelOptimizer:
             if len(_EXACT_EVAL_CACHE) >= _EXACT_EVAL_CACHE_MAX:
                 _EXACT_EVAL_CACHE.clear()
             _EXACT_EVAL_CACHE[key] = exact
+            self._added_exacts[key] = exact
         else:
             obs.get_metrics().inc("cache.exact_hits")
         return exact

@@ -1,13 +1,11 @@
 """On-disk artifact store for planner and kernel tables (DESIGN.md §10).
 
 The per-(trace, bid) launch/death index tables built by
-:mod:`.kernels`, and the per-group bid/interval/outcome tables and
-survival grids built by :mod:`repro.core.two_level`, are pure functions
-of trace *content* plus a handful of scalar parameters.  PR 1/3 made
-them shareable across optimizer instances — but only within one
-process: the first plan of a fresh process rebuilt everything.  This
-module is the disk tier under those in-memory caches, mirroring the
-two-tier design of the reprolint cache (:mod:`repro.analysis.cache`):
+:mod:`.kernels`, and the per-group bid/interval/outcome tables, survival
+grids and search sidecar built by :mod:`repro.core.two_level`, are pure
+functions of trace *content* plus a handful of scalar parameters.  This
+module is the disk tier under those in-memory caches, so a cold process
+warms from files instead of rebuilding:
 
 * **Keying** — every artifact key is a SHA-256 over (a) the content
   hash of each participating trace, (b) every scalar parameter that
@@ -17,15 +15,24 @@ two-tier design of the reprolint cache (:mod:`repro.analysis.cache`):
   contents plus the numpy/python versions.  Editing any kernel or
   planner module, or changing numpy, silently invalidates every
   artifact — there are no version-skew rules to get wrong.
-* **Format** — one ``.npz`` per artifact (versioned directory layout,
-  ``v1/<kind>/<aa>/<key>.npz``), written atomically: serialize to a
-  temp file in the same directory, then ``os.replace``.  Readers never
-  observe a half-written file.
-* **Fail-open** — a missing, truncated, corrupted or permission-denied
-  artifact is a cache miss, never an error: the caller rebuilds from
-  scratch and results are bit-identical either way (the store persists
-  the exact float64 arrays the build produced; ``.npz`` round-trips
-  them losslessly).  Deleting the store directory mid-run only changes
+* **Container** — every kind is one file in one format: a fixed prefix
+  (magic, ``ARTIFACT_VERSION``, header and payload lengths, a CRC-32 of
+  everything after the prefix), a JSON header naming each column's
+  dtype, shape and offset, then the raw column bytes at 64-byte
+  aligned offsets.  A load is one ``readinto`` plus ``np.frombuffer``
+  views into that buffer — no zip, no per-column header parse.
+* **Layout** — ``v<ARTIFACT_VERSION>/<kind>/<aa>/<key>.art``, or, for a
+  kind saved in *parts*, ``.../<aa>/<key>/<digest>.art`` with one file
+  per part, named by the SHA-256 of its bytes (identical parts collapse
+  into one file).  A parted load reads and returns every part of the
+  key.  Writes are atomic: serialise to a temp file in the same
+  directory, then ``os.replace``.  Readers never observe a half-written
+  file.
+* **Fail-open** — a missing artifact is a counted miss; a truncated,
+  corrupted (checksum mismatch), foreign or unreadable one is a counted
+  error whose file is unlinked.  Either way the caller rebuilds and
+  results are bit-identical (the store persists the exact arrays the
+  build produced).  Deleting the store directory mid-run only changes
   timing.
 
 Hit/miss/write/error counts land in the :mod:`repro.obs` metrics
@@ -36,9 +43,12 @@ a cold process actually hit warm disk.
 from __future__ import annotations
 
 import hashlib
-import io
+import json
+import math
 import os
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -50,6 +60,7 @@ from ..core.two_level import register_cache_clearer
 from ..errors import ConfigurationError
 
 __all__ = [
+    "ARTIFACT_SUFFIX",
     "ARTIFACT_VERSION",
     "ArtifactStore",
     "clear_store_handles",
@@ -62,7 +73,19 @@ __all__ = [
 
 #: Bump when the artifact layout or array schema changes; old versions
 #: simply stop being read (their directory is ignored, not migrated).
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+
+#: File suffix of every artifact (and every part of a parted one).
+ARTIFACT_SUFFIX = ".art"
+
+#: Container prefix: magic, then version, header bytes, payload bytes
+#: and the CRC-32 of everything after the prefix (header, padding and
+#: payload).  Column offsets are relative to the payload, which starts
+#: at the first ``_ALIGN`` boundary after the header.
+_MAGIC = b"SOMPIART"
+_PREFIX = struct.Struct("<IIQI")
+_HEAD = len(_MAGIC) + _PREFIX.size
+_ALIGN = 64
 
 #: Environment override for the store location; an empty value disables
 #: the store entirely (useful to pin hermetic test runs).
@@ -154,8 +177,79 @@ def resolve_max_bytes() -> Optional[int]:
     return value if value > 0 else None
 
 
+def _pad(n: int) -> int:
+    """Bytes from ``n`` up to the next ``_ALIGN`` boundary."""
+    return -n % _ALIGN
+
+
+def _encode(arrays: Mapping[str, np.ndarray]) -> List[object]:
+    """The container's bytes for ``arrays``, as buffers in file order.
+
+    Object arrays are refused (the store never pickles).
+    """
+    columns = []
+    body: List[object] = []
+    offset = 0
+    for name, arr in arrays.items():
+        flat = np.ascontiguousarray(arr)
+        if flat.dtype.hasobject:
+            raise TypeError(f"artifact column {name!r} holds Python objects")
+        if _pad(offset):
+            body.append(bytes(_pad(offset)))
+            offset += _pad(offset)
+        columns.append((name, flat.dtype.str, flat.shape, offset))
+        body.append(flat.reshape(-1).view(np.uint8))
+        offset += flat.nbytes
+    header = json.dumps(columns, separators=(",", ":")).encode()
+    body[:0] = [header, bytes(_pad(_HEAD + len(header)))]
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+    prefix = _MAGIC + _PREFIX.pack(ARTIFACT_VERSION, len(header), offset, crc)
+    return [prefix, *body]
+
+
+def _decode(buf: bytearray) -> Dict[str, np.ndarray]:
+    """Column views into ``buf``; ``ValueError`` on any damage
+    (``TypeError`` for a header of the wrong shape).
+
+    The checksum is verified before any column is touched, so a flipped
+    byte anywhere after the prefix is an error, never a wrong table.
+    """
+    if len(buf) < _HEAD or buf[:len(_MAGIC)] != _MAGIC:
+        raise ValueError("not an artifact container")
+    version, header_len, payload_len, crc = _PREFIX.unpack_from(buf, len(_MAGIC))
+    if version != ARTIFACT_VERSION:
+        raise ValueError(f"artifact container version {version}")
+    payload_at = _HEAD + header_len + _pad(_HEAD + header_len)
+    if len(buf) != payload_at + payload_len:
+        raise ValueError("truncated artifact")
+    if zlib.crc32(memoryview(buf)[_HEAD:]) != crc:
+        raise ValueError("artifact checksum mismatch")
+    arrays = {}
+    for name, dtype, shape, offset in json.loads(buf[_HEAD:_HEAD + header_len]):
+        dt = np.dtype(dtype)
+        count = math.prod(shape)
+        if (dt.hasobject or count < 0 or offset < 0
+                or offset + count * dt.itemsize > payload_len):
+            raise ValueError(f"bad artifact column {name!r}")
+        arrays[name] = np.frombuffer(
+            buf, dtype=dt, count=count, offset=payload_at + offset
+        ).reshape(shape)
+    return arrays
+
+
+def _read(path: Path) -> Dict[str, np.ndarray]:
+    """One file's columns, read with a single ``readinto``."""
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        if fh.readinto(buf) != len(buf):
+            raise ValueError("short read")
+    return _decode(buf)
+
+
 class ArtifactStore:
-    """A directory of content-addressed ``.npz`` artifacts.
+    """A directory of content-addressed artifact containers.
 
     ``max_bytes`` (set by :func:`get_store` from the environment)
     arms the LRU eviction policy: hits touch the artifact's mtime, and
@@ -174,64 +268,106 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def path_for(self, kind: str, key: str) -> Path:
         """Sharded path for one artifact (two-level fanout by key)."""
-        return self.root / kind / key[:2] / f"{key}.npz"
+        return self.root / kind / key[:2] / f"{key}{ARTIFACT_SUFFIX}"
 
-    def load(self, kind: str, key: str) -> Optional[Dict[str, np.ndarray]]:
+    def parts_dir(self, kind: str, key: str) -> Path:
+        """Directory holding the parts of a parted artifact."""
+        return self.root / kind / key[:2] / key
+
+    def load(
+        self, kind: str, key: str, *, parts: bool = False
+    ) -> Optional[Dict[str, np.ndarray] | List[Dict[str, np.ndarray]]]:
         """The artifact's arrays, or ``None`` on any miss or damage.
+
+        With ``parts=True`` the result is the list of every readable
+        part saved under ``key`` (``None`` when there is none).  The
+        lookup counts one hit or one miss however many parts it reads;
+        each damaged part is a counted error, is unlinked, and is left
+        out while the other parts are still returned.
 
         Fail-open end to end: a missing file is a counted miss, a
         truncated/corrupt/unreadable one is a counted error whose file
         is dropped so the rebuild repairs the store — the caller only
-        ever sees ``None``.
+        ever sees ``None`` or good arrays.
         """
-        path = self.path_for(kind, key)
         metrics = obs.get_metrics()
-        try:
-            with np.load(path, allow_pickle=False) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-        except FileNotFoundError:
-            metrics.inc(f"cache.artifact_misses.{kind}")
-            return None
-        # reprolint: disable=R006 -- the store's fail-open contract: any damage is a counted miss
-        except Exception:
-            # Truncated/corrupted/unreadable: fail open, count it, and
-            # drop the bad file so the rebuild below repairs the store.
-            metrics.inc(f"cache.artifact_errors.{kind}")
+        if parts:
+            folder = self.parts_dir(kind, key)
             try:
-                path.unlink()
+                names = sorted(os.listdir(folder))
+            except OSError:
+                names = []
+            paths = [folder / n for n in names if n.endswith(ARTIFACT_SUFFIX)]
+        else:
+            paths = [self.path_for(kind, key)]
+        found = []
+        damaged = False
+        for path in paths:
+            try:
+                found.append(_read(path))
+            except FileNotFoundError:
+                continue
+            except (OSError, ValueError, TypeError):
+                # Truncated/corrupted/unreadable (``_decode`` raises
+                # ValueError or TypeError on any damage): fail open,
+                # count it, and drop the bad file so the rebuild
+                # repairs the store.
+                metrics.inc(f"cache.artifact_errors.{kind}")
+                damaged = True
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                continue
+            # Touch the file so "recently used" means recently *read*,
+            # not just recently written — the LRU eviction sorts by mtime.
+            try:
+                os.utime(path)
             except OSError:
                 pass
-            return None
-        # Touch the file so "recently used" means recently *read*, not
-        # just recently written — the LRU eviction sorts by mtime.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        metrics.inc(f"cache.artifact_hits.{kind}")
-        return arrays
+        if found:
+            metrics.inc(f"cache.artifact_hits.{kind}")
+            return found if parts else found[0]
+        if not damaged:
+            metrics.inc(f"cache.artifact_misses.{kind}")
+        return None
 
     def save(
-        self, kind: str, key: str, arrays: Mapping[str, np.ndarray]
+        self,
+        kind: str,
+        key: str,
+        arrays: Mapping[str, np.ndarray],
+        *,
+        part: bool = False,
     ) -> bool:
         """Atomically persist ``arrays``; False (not an error) on failure.
+
+        With ``part=True`` the arrays become one more part of ``key``,
+        named by the hash of their bytes, beside the parts already there.
 
         A read-only or full filesystem degrades the store to always-cold
         exactly like the reprolint cache — planning results are computed
         either way.
         """
-        path = self.path_for(kind, key)
         metrics = obs.get_metrics()
+        chunks = _encode(arrays)
+        if part:
+            digest = hashlib.sha256()
+            for chunk in chunks:
+                digest.update(chunk)
+            path = self.parts_dir(kind, key) / (
+                digest.hexdigest()[:32] + ARTIFACT_SUFFIX
+            )
+        else:
+            path = self.path_for(kind, key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            buf = io.BytesIO()
-            np.savez(buf, **dict(arrays))
             fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
+                dir=path.parent, prefix=f".{path.stem[:8]}.", suffix=".tmp"
             )
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    fh.write(buf.getvalue())
+                    fh.writelines(chunks)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -258,7 +394,7 @@ class ArtifactStore:
         if not self.root.is_dir():
             return []
         entries = []
-        for path in self.root.rglob("*.npz"):
+        for path in self.root.rglob(f"*{ARTIFACT_SUFFIX}"):
             try:
                 entries.append((path, path.stat()))
             except OSError:

@@ -21,11 +21,12 @@ tables, group tables and artifact-store handle from nothing.
 * **Warm workers** — an initializer runs once per worker: it pays the
   engine imports and opens the artifact store handle (whose first-open
   eviction scan would otherwise land in the first task), so the first
-  real task starts disk-warm.  Per-scope tables (packed search
-  sidecar, group tables, trace/bid index tables) then load lazily from
+  real task starts disk-warm.  Per-scope tables (search sidecar
+  parts, group tables, trace/bid index tables) then load lazily from
   the warm store and stay in the worker's in-memory caches for its
   whole lifetime — a worker that planned a window once serves the next
-  request for it from memory.
+  request for it from memory.  Two workers planning one scope each add
+  their own sidecar part, so neither overwrites the other's entries.
 * **Shared-memory reuse** — the backtest ships its history through the
   long-lived content-hash-keyed registry (:func:`repro.execution.
   shm_pool.shared_trace_handle`), so a history's shm segments are
@@ -110,7 +111,7 @@ def _warm_worker() -> None:
     of a ``spawn`` worker's startup) and opens the artifact-store
     handle, which runs the store's first-open eviction pass here
     instead of inside the first submitted task.  The per-scope tables
-    themselves (packed search sidecar, group tables, trace/bid index
+    themselves (search sidecar parts, group tables, trace/bid index
     tables) load lazily from the warm store on first use and then live
     in this worker's in-memory caches for its whole lifetime.
 

@@ -1,7 +1,8 @@
 """Artifact-store lifecycle tests (DESIGN.md §10).
 
 Cold write → warm load bit-identity, content-hash invalidation,
-engine-fingerprint invalidation, corruption fail-open, and the disk
+engine-fingerprint invalidation, corruption fail-open (the container
+fault matrix), the search sidecar's per-plan parts, and the disk
 tier's one off-switch (``REPRO_ARTIFACT_DIR=""``) — at the store level
 and through the full planning and replay pipeline.
 """
@@ -18,9 +19,9 @@ from repro.cloud.instance_types import get_instance_type
 from repro.config import SompiConfig
 from repro.core.optimizer import SompiOptimizer
 from repro.core.problem import OnDemandOption, Problem
-from repro.core.two_level import clear_shared_caches
+from repro.core.two_level import TwoLevelOptimizer, clear_shared_caches
 from repro.execution import artifacts, kernels
-from repro.execution.artifacts import ArtifactStore, get_store
+from repro.execution.artifacts import ARTIFACT_SUFFIX, ArtifactStore, get_store
 from repro.execution.batch_replay import replay_batch
 from repro.execution.montecarlo import sample_start_times
 from repro.market.history import SpotPriceHistory
@@ -176,7 +177,7 @@ class TestPlannerLifecycle:
         problem, history = _problem_and_history()
         cold = _plan(history, tmp_path, problem)
         clear_shared_caches()
-        damaged = list(tmp_path.rglob("*.npz"))
+        damaged = list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
         assert damaged
         for path in damaged:
             path.write_bytes(b"garbage")
@@ -191,10 +192,16 @@ class TestPlannerLifecycle:
         )
         # The bad files were unlinked and the rebuild re-saved valid
         # artifacts in their place: every surviving file loads cleanly.
-        for path in tmp_path.rglob("*.npz"):
+        store = ArtifactStore(tmp_path)
+        for path in tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"):
             assert path.read_bytes() != b"garbage"
-            with np.load(path, allow_pickle=False):
-                pass
+            kind, _shard, name = path.relative_to(store.root).parts[:3]
+            if name == path.name:
+                assert store.load(kind, path.stem) is not None
+            else:  # one part of a parted artifact: ``name`` is its key
+                assert len(store.load(kind, name, parts=True)) == len(
+                    list(path.parent.glob(f"*{ARTIFACT_SUFFIX}"))
+                )
 
     def test_plan_invariant_under_cache_and_grid_config(
         self, tmp_path, monkeypatch
@@ -214,6 +221,185 @@ class TestPlannerLifecycle:
         _assert_same_plan(reference, _plan(history, None, problem))
 
 
+def _flip_last_byte(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 0xFF])
+
+
+#: Damage applied to a container's bytes; a lookup of the damaged
+#: file is a counted error.
+_DAMAGE = {
+    "truncated_header": lambda d: d[:artifacts._HEAD + 5],
+    "truncated_payload": lambda d: d[:-7],
+    "flipped_payload_byte": _flip_last_byte,
+    "wrong_magic": lambda d: b"NOTSOMPI" + d[8:],
+}
+
+
+def _leave_v1_npz(store: ArtifactStore, path) -> None:
+    """Replace a container by the same arrays in the retired ``v1`` npz
+    layout, which the current store must never read."""
+    rel = path.relative_to(store.root)
+    arrays = artifacts._read(path)
+    old = store.root.parent / "v1" / rel.with_suffix(".npz")
+    old.parent.mkdir(parents=True, exist_ok=True)
+    np.savez(old, **arrays)
+    path.unlink()
+
+
+def _damage(store: ArtifactStore, path, case: str) -> str:
+    """Apply one fault case to ``path``; the counter a lookup bumps."""
+    if case == "v1_leftover":
+        _leave_v1_npz(store, path)
+        return "misses"
+    path.write_bytes(_DAMAGE[case](path.read_bytes()))
+    return "errors"
+
+
+class TestContainerFaults:
+    """The artifact row of the fault matrix: every damaged container is
+    a counted error and is unlinked, a retired ``v1`` store is a counted
+    miss, and the plan is identical either way."""
+
+    CASES = sorted(_DAMAGE) + ["v1_leftover"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_store_level(self, tmp_path, case):
+        store = ArtifactStore(tmp_path)
+        key = "ab" + "1" * 62
+        store.save("k", key, {"x": np.arange(40.0), "y": np.ones(3, bool)})
+        path = store.path_for("k", key)
+        counter = _damage(store, path, case)
+        metrics = obs.get_metrics()
+        before = metrics.get(f"cache.artifact_{counter}.k")
+        assert store.load("k", key) is None
+        assert metrics.get(f"cache.artifact_{counter}.k") == before + 1
+        assert not path.exists()
+        if case == "v1_leftover":  # ignored, never read or removed
+            assert list((tmp_path / "v1").rglob("*.npz"))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_plan_is_identical(self, tmp_path, case):
+        problem, history = _problem_and_history()
+        reference = _plan(history, tmp_path / "ref", problem)
+        clear_shared_caches()
+        root = tmp_path / "store"
+        _assert_same_plan(reference, _plan(history, root, problem))
+        store = ArtifactStore(root)
+        paths = list(root.rglob(f"*{ARTIFACT_SUFFIX}"))
+        kinds = {p.relative_to(store.root).parts[0] for p in paths}
+        assert kinds == {"group_tables", "surv_grids", "search_sidecar"}
+        counter = {_damage(store, path, case) for path in paths}.pop()
+
+        def counted():
+            counters = obs.get_metrics().snapshot()["counters"]
+            return sum(v for name, v in counters.items()
+                       if name.startswith(f"cache.artifact_{counter}."))
+
+        before = counted()
+        clear_shared_caches()
+        _assert_same_plan(reference, _plan(history, root, problem))
+        # One count per lookup: one per damaged file, or one miss per kind.
+        expected = len(kinds) if case == "v1_leftover" else len(paths)
+        assert counted() == before + expected
+        # Every damaged file was unlinked; what the store holds now is
+        # what the rebuild re-saved, and it reads back cleanly.
+        for path in root.rglob(f"*{ARTIFACT_SUFFIX}"):
+            artifacts._read(path)
+
+
+class TestSearchSidecar:
+    """The search sidecar is written in per-plan parts and merged on
+    load (DESIGN.md §10)."""
+
+    def _optimizer(self, problem, history, tmp_path):
+        cfg = SompiConfig(kappa=2, bid_levels=5, artifact_dir=str(tmp_path))
+        models = SompiOptimizer.from_history(problem, history, cfg).failure_models
+        return TwoLevelOptimizer(
+            problem, models, problem.ondemand_options[0], cfg
+        )
+
+    @staticmethod
+    def _counts(*names):
+        metrics = obs.get_metrics()
+        return tuple(metrics.get(name) for name in names)
+
+    def test_cold_plan_then_cleared_replan_hits(self, tmp_path):
+        problem, history = _problem_and_history()
+        (writes,) = self._counts("cache.artifact_writes.search_sidecar")
+        cold = _plan(history, tmp_path, problem)
+        assert self._counts("cache.artifact_writes.search_sidecar") == (
+            writes + 1,
+        )
+        clear_shared_caches()
+        names = ("cache.subset_hits", "cache.exact_hits",
+                 "cache.subset_misses", "cache.exact_misses",
+                 "cache.artifact_hits.search_sidecar")
+        before = self._counts(*names)
+        warm = _plan(history, tmp_path, problem)
+        after = self._counts(*names)
+        assert after[0] > before[0] and after[1] > before[1]
+        assert after[2:4] == before[2:4]  # nothing recomputed
+        assert after[4] == before[4] + 1  # one scope lookup, one hit
+        _assert_same_plan(cold, warm)
+
+    def test_fully_warm_plan_writes_nothing(self, tmp_path):
+        problem, history = _problem_and_history()
+        _plan(history, tmp_path, problem)
+        name = "cache.artifact_writes.search_sidecar"
+        writes = obs.get_metrics().get(name)
+        _plan(history, tmp_path, problem)  # memory-warm
+        clear_shared_caches()
+        _plan(history, tmp_path, problem)  # disk-warm
+        assert obs.get_metrics().get(name) == writes
+
+    def _two_parts(self, problem, history, tmp_path):
+        """Two optimizers of one scope that never see each other's
+        entries (two processes), saving after both searched.  Returns
+        both results and the part each one wrote."""
+        first = self._optimizer(problem, history, tmp_path)
+        a = first.optimize_subset((0,))
+        clear_shared_caches()
+        second = self._optimizer(problem, history, tmp_path)
+        b = second.optimize_subset((1,))
+        key = first._sidecar_scope()
+        assert key == second._sidecar_scope()
+        folder = ArtifactStore(tmp_path).parts_dir("search_sidecar", key)
+        second.save_search_sidecar()
+        (part_b,) = folder.glob(f"*{ARTIFACT_SUFFIX}")
+        first.save_search_sidecar()
+        (part_a,) = set(folder.glob(f"*{ARTIFACT_SUFFIX}")) - {part_b}
+        return a, b, part_a, part_b
+
+    def test_two_optimizers_write_two_parts_and_both_merge(self, tmp_path):
+        problem, history = _problem_and_history()
+        a, b, _part_a, _part_b = self._two_parts(problem, history, tmp_path)
+        clear_shared_caches()
+        names = ("cache.subset_misses", "cache.exact_misses",
+                 "cache.artifact_hits.search_sidecar")
+        before = self._counts(*names)
+        fresh = self._optimizer(problem, history, tmp_path)
+        assert fresh.optimize_subset((0,)) == a
+        assert fresh.optimize_subset((1,)) == b
+        assert self._counts(*names) == (before[0], before[1], before[2] + 1)
+
+    def test_damaged_part_is_dropped_and_the_rest_merges(self, tmp_path):
+        problem, history = _problem_and_history()
+        a, b, _part_a, part_b = self._two_parts(problem, history, tmp_path)
+        part_b.write_bytes(_flip_last_byte(part_b.read_bytes()))
+        clear_shared_caches()
+        names = ("cache.artifact_errors.search_sidecar",
+                 "cache.artifact_hits.search_sidecar",
+                 "cache.subset_misses")
+        before = self._counts(*names)
+        fresh = self._optimizer(problem, history, tmp_path)
+        assert fresh.optimize_subset((0,)) == a  # the good part merged
+        assert self._counts(*names) == (before[0] + 1, before[1] + 1,
+                                        before[2])
+        assert not part_b.exists()
+        assert fresh.optimize_subset((1,)) == b  # recomputed, identical
+        assert self._counts(*names)[2] == before[2] + 1
+
+
 class TestKernelTablesDiskTier:
     def _big_trace(self):
         n = kernels._STORE_MIN_SEGMENTS
@@ -226,7 +412,7 @@ class TestKernelTablesDiskTier:
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(tmp_path))
         trace = self._big_trace()
         built = kernels.trace_tables(trace, 0.15)
-        assert list(tmp_path.rglob("*.npz"))  # cold pass wrote the tier
+        assert list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))  # cold pass wrote the tier
         kernels.clear_table_cache()
         loaded = kernels.trace_tables(trace, 0.15)
         for field in ("times", "times_ext", "below",
@@ -237,7 +423,7 @@ class TestKernelTablesDiskTier:
     def test_small_traces_stay_memory_only(self, tmp_path, monkeypatch):
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(tmp_path))
         kernels.trace_tables(SpotPriceTrace([0.0], [0.05], 10.0), 0.1)
-        assert not list(tmp_path.rglob("*.npz"))
+        assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
 
 
 class TestDiskOffSwitch:
@@ -291,7 +477,7 @@ class TestDiskOffSwitch:
 
         before = artifact_counters()
         off_plan, off_runs = self._run(problem, history, None)
-        assert not list(tmp_path.rglob("*.npz"))
+        assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
         assert artifact_counters() == before  # no disk event counted
 
         # The same run on a private store, cold (writes both planner and
@@ -300,7 +486,11 @@ class TestDiskOffSwitch:
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(store_dir))
         clear_shared_caches()
         self._run(problem, history, None)
-        kinds = {p.parent.parent.name for p in store_dir.rglob("*.npz")}
+        root = ArtifactStore(store_dir).root
+        kinds = {
+            p.relative_to(root).parts[0]
+            for p in store_dir.rglob(f"*{ARTIFACT_SUFFIX}")
+        }
         assert {"group_tables", "trace_bid"} <= kinds
         clear_shared_caches()
         hits = obs.get_metrics().get("cache.artifact_hits.trace_bid")
