@@ -24,7 +24,7 @@ computes those facts once per lint run, on top of the existing
   the functions a module registers through ``register_cache_clearer``
   (or by ``clear_shared_caches`` where the module owns the registry):
   those are *declared* shared state with a managed lifecycle, the
-  sanctioned pattern R010/R013 must not flag.
+  sanctioned pattern R010 must not flag.
 
 Like the graph itself, everything here is deliberately
 *under*-approximate: an unresolvable submit target or dynamic mutation
@@ -202,36 +202,13 @@ def registered_clearers(syms: ModuleSymbols) -> Set[str]:
     return out
 
 
-def clearer_function_names(syms: ModuleSymbols) -> Set[str]:
-    """Registered clearers plus every same-module function they call.
-
-    The transitive closure matters for exemptions: a registered
-    ``close_trace_pools`` that delegates to ``_drop_one`` makes both of
-    them teardown code.
-    """
-    frontier = [f for f in registered_clearers(syms) if f in syms.functions]
-    visited: Set[str] = set(registered_clearers(syms))
-    while frontier:
-        fn = frontier.pop()
-        info = syms.functions.get(fn)
-        if info is None:
-            continue
-        for call in info.calls:
-            head = call.name.split(".", 1)[0]
-            for cand in (call.name, head):
-                if cand in syms.functions and cand not in visited:
-                    visited.add(cand)
-                    frontier.append(cand)
-    return visited
-
-
 def clearer_sanctioned_names(syms: ModuleSymbols) -> Set[str]:
     """Every name reachable from the module's registered clearers.
 
     A clearer may delegate (``_drop_attached`` → ``_evict_superseded``),
     so the reference set is closed transitively over same-module calls:
     a module global touched anywhere in that closure has a managed
-    lifecycle and is sanctioned for R010/R013.
+    lifecycle and is sanctioned for R010.
     """
     frontier = [f for f in registered_clearers(syms) if f in syms.functions]
     visited: Set[str] = set()

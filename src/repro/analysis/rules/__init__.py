@@ -13,8 +13,6 @@ from . import (  # noqa: F401
     r007_ledger_audit,
     r009_doc_units,
     r010_worker_globals,
-    r011_shm_lifecycle,
-    r013_pid_guards,
     r015_ordered_reduction,
     r016_fail_open,
 )

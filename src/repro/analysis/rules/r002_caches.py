@@ -11,7 +11,7 @@ registered clearer (or by ``clear_shared_caches`` itself in the module
 that owns the registry).
 
 Pool/executor singletons are caches too (of provisioned worker
-processes and shared-memory segments): a module-level binding whose
+processes): a module-level binding whose
 name says pool/executor and whose value is a lazy slot (``None``), a
 registry dict, or a pool-factory call must be *referenced* by a
 registered clearer — reference rather than ``.clear()`` because pool
@@ -85,8 +85,8 @@ class RegisteredCaches(Rule):
         "defining clear_shared_caches itself is the registry owner. "
         "Module-level pool/executor singletons (None slots, registry "
         "dicts, pool-factory calls) must likewise be referenced by a "
-        "registered clearer — warm workers and shm segments are shared "
-        "caches of provisioned state."
+        "registered clearer — warm workers are a shared cache of "
+        "provisioned state."
     )
 
     def applies(self, relpath: str) -> bool:

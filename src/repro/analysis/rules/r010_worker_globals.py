@@ -17,7 +17,7 @@ Two patterns are sanctioned by design:
 * **registered shared caches**: a global referenced (transitively) by a
   clearer the module registers via ``register_cache_clearer`` is a
   declared per-process cache with a managed lifecycle — worker-side
-  cache fills (kernel tables, shm attach maps) are the *point* of the
+  cache fills (kernel tables, planner tables) are the *point* of the
   warm pool, and ``clear_shared_caches()`` can always drop them.
 """
 

@@ -1,9 +1,9 @@
 """R016 — documented fail-open functions must actually fail open.
 
-The repo's IO layers (artifact store, shared-memory pool, lint cache)
-promise *fail-open* behaviour: a missing file, a torn write, a vanished
-shared-memory segment degrade to a recompute or a cold run — never to
-an exception crossing the caller's boundary.  The promise lives in
+The repo's IO layers (artifact store, lint cache) promise
+*fail-open* behaviour: a missing file or a torn write degrades to a
+recompute or a cold run — never to an exception crossing the caller's
+boundary.  The promise lives in
 docstrings, which nothing checked: PR 8's artifact store shipped with
 a guarded ``load`` but an ``_entries`` sweep whose ``stat`` could still
 raise on a concurrently-evicted file, and the v3 lint cache's

@@ -22,11 +22,16 @@ derived statelessly from the seed and the (window, app, deadline) cell,
 so a manifest re-run — same process or fresh — is bit-identical.  That
 same property makes the window×app×deadline grid embarrassingly
 parallel: ``run_backtest(jobs=N)`` fans whole cells out over the
-persistent shared :class:`~repro.execution.pool.WorkerPool` (the
-history ships through the long-lived shm registry, each worker derives
-its cell's streams from (seed, cell) exactly as the serial loop would)
-and gathers results in grid order, so ``jobs=1`` and ``jobs=N`` reports
-are bit-identical (``tests/test_worker_pool.py`` holds this down).
+persistent shared :class:`~repro.execution.pool.WorkerPool` and gathers
+results in grid order, so ``jobs=1`` and ``jobs=N`` reports are
+bit-identical (``tests/test_worker_pool.py`` holds this down).
+
+A cell needs only its own window's prices, so the parent splits each
+window once (:func:`~repro.core.windows.split_history`) and every cell
+of that window, serial or pooled, gets the same ``(plan, holdout)``
+pair: pooled cells receive it pickled as ordinary task arguments, and
+each worker derives its cell's streams from (seed, cell) exactly as
+the serial loop does.
 """
 
 from __future__ import annotations
@@ -55,11 +60,6 @@ from ..execution.montecarlo import replay_many
 from ..execution.pool import WorkerPool, resolve_jobs
 from ..execution.replay import decision_horizon
 from ..execution.results import MonteCarloSummary
-from ..execution.shm_pool import (
-    SharedHistoryHandle,
-    attach_history,
-    shared_trace_handle,
-)
 from ..market.failure import FailureModel
 from ..market.history import MarketKey, SpotPriceHistory
 from ..sim.rng import RngRegistry
@@ -350,7 +350,8 @@ def _group_calibration(
 
 
 def _run_cell(
-    history: SpotPriceHistory,
+    plan_history: SpotPriceHistory,
+    holdout_history: SpotPriceHistory,
     config,
     rng: RngRegistry,
     n_samples: int,
@@ -363,7 +364,7 @@ def _run_cell(
 
     Pure compute given its arguments: every random stream derives
     statelessly from ``rng``'s seed and the cell identity, so a worker
-    process handed the same (history content, config, seed, cell)
+    process handed the same (window slices, config, seed, cell)
     produces the bit-identical :class:`WindowResult` the serial loop
     would.  Observability *events* are the caller's job
     (:func:`_emit_cell`) so serial and parallel runs emit the same
@@ -371,7 +372,6 @@ def _run_cell(
     """
     metrics = obs.get_metrics()
     stream = f"backtest:{window.index}:{app}:{deadline_name}"
-    plan_history, holdout_history = split_history(history, window)
     plan, models = plan_window(problem, plan_history, config)
     predicted_miss = _predicted_miss(
         problem,
@@ -451,7 +451,8 @@ def _emit_cell(result: WindowResult) -> None:
 
 
 def _run_cell_task(
-    shipped,
+    plan_history: SpotPriceHistory,
+    holdout_history: SpotPriceHistory,
     seed: int,
     config,
     n_samples: int,
@@ -460,25 +461,16 @@ def _run_cell_task(
     deadline_name: str,
     problem: Problem,
 ) -> Tuple[WindowResult, dict]:
-    """Worker entry point for one cell.
+    """Worker entry point for one cell, handed its window's slices.
 
-    ``shipped`` is either a :class:`SharedHistoryHandle` (the normal
-    path: attach the registry's shm blocks, cached per worker) or a
-    pickled :class:`SpotPriceHistory` (the pickling fallback path).
-    The worker itself never degrades: a failed attach propagates to
-    the parent's gather, where :func:`run_backtest` recovers.  The
-    worker's metrics registry is reset first and its snapshot returned,
-    so the parent can fold per-cell planner/replay counters in exactly
-    as the experiments runner does.
+    The worker's metrics registry is reset first and its snapshot
+    returned, so the parent can fold per-cell planner/replay counters
+    in exactly as the experiments runner does.
     """
     obs.reset_metrics()
-    if isinstance(shipped, SharedHistoryHandle):
-        history = attach_history(shipped)
-    else:
-        history = shipped
     result = _run_cell(
-        history, config, RngRegistry(seed), n_samples, window, app,
-        deadline_name, problem,
+        plan_history, holdout_history, config, RngRegistry(seed),
+        n_samples, window, app, deadline_name, problem,
     )
     return result, obs.get_metrics().snapshot()
 
@@ -495,11 +487,11 @@ def run_backtest(env, manifest: BacktestManifest, jobs=None) -> BacktestReport:
     order and every stream still derives from (seed, cell), so the
     report is bit-identical to ``jobs=1``.
 
-    The parallel plumbing is fail-open: a platform without shared
-    memory pickles the history into every task, and a worker whose
-    shm attach fails mid-run surfaces its OSError at the gather, which
-    recomputes the grid serially.  Either degradation is a counted
-    metric; the report itself is bit-identical on every path.
+    Each window's history is split once, here; its cells share that
+    ``(plan, holdout)`` pair, which pooled cells receive pickled as
+    task arguments.  Every planner and kernel cache a cell touches is
+    pure and keyed by content or identity, so sharing the slices
+    cannot change a result.
     """
     manifest.check_traces(env.history)
     if manifest.seed != env.seed:
@@ -520,56 +512,38 @@ def run_backtest(env, manifest: BacktestManifest, jobs=None) -> BacktestReport:
         for app in manifest.apps
         for dl_name, _factor in manifest.deadline_factors
     ]
+    splits = {
+        window.index: split_history(env.history, window)
+        for window in manifest.windows
+    }
     n_jobs = resolve_jobs(jobs, len(cells))
-    results: List[WindowResult] = []
     if n_jobs > 1:
-        # Ship the history through the long-lived shm registry (mapped
-        # once per worker); fall back to pickling it into every task.
-        try:
-            shipped = shared_trace_handle(env.history)
-        # reprolint: disable=R006 -- fail-open: no shared memory means the pickling path, counted
-        except Exception:
-            metrics.inc("backtest.shm_pool_unavailable")
-            shipped = env.history
         pool = WorkerPool.shared(n_jobs)
-        try:
-            with metrics.timer("backtest.parallel"):
-                gathered = pool.run_ordered(
-                    _run_cell_task,
-                    [
-                        (
-                            shipped, env.seed, env.config,
-                            manifest.n_samples, window, app, dl_name,
-                            problems[(app, dl_name)],
-                        )
-                        for window, app, dl_name in cells
-                    ],
-                )
-            for result, snapshot in gathered:
-                metrics.merge_snapshot(snapshot)
-                results.append(result)
-        except OSError:
-            # A worker lost the shm segment between the parent's probe
-            # and its own attach; every cell is a stateless derivation
-            # from (seed, cell), so recompute the grid serially.
-            metrics.inc("backtest.shm_attach_failed")
-            results = []
-            for window, app, dl_name in cells:
-                results.append(
-                    _run_cell(
-                        env.history, env.config, env.rng,
+        with metrics.timer("backtest.parallel"):
+            gathered = pool.run_ordered(
+                _run_cell_task,
+                [
+                    (
+                        *splits[window.index], env.seed, env.config,
                         manifest.n_samples, window, app, dl_name,
                         problems[(app, dl_name)],
                     )
-                )
-    else:
-        for window, app, dl_name in cells:
-            results.append(
-                _run_cell(
-                    env.history, env.config, env.rng, manifest.n_samples,
-                    window, app, dl_name, problems[(app, dl_name)],
-                )
+                    for window, app, dl_name in cells
+                ],
             )
+        results: List[WindowResult] = []
+        for result, snapshot in gathered:
+            metrics.merge_snapshot(snapshot)
+            results.append(result)
+    else:
+        results = [
+            _run_cell(
+                *splits[window.index], env.config, env.rng,
+                manifest.n_samples, window, app, dl_name,
+                problems[(app, dl_name)],
+            )
+            for window, app, dl_name in cells
+        ]
     # Events and counters are emitted here — after compute, in grid
     # order — so serial and parallel runs produce the same stream.
     cursor = 0

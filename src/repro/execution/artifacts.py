@@ -46,6 +46,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import struct
 import tempfile
 import zlib
@@ -389,17 +390,34 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Inspection and eviction (``repro artifacts`` CLI verb)
     # ------------------------------------------------------------------
-    def _entries(self) -> List[Tuple[Path, os.stat_result]]:
-        """Every artifact file with its stat; fail-open per file."""
-        if not self.root.is_dir():
+    def _entries(
+        self, root: Optional[Path] = None, pattern: str = f"*{ARTIFACT_SUFFIX}"
+    ) -> List[Tuple[Path, os.stat_result]]:
+        """Every file matching ``pattern`` under ``root`` (default: this
+        version's directory) with its stat; fail-open per file."""
+        root = self.root if root is None else root
+        if not root.is_dir():
             return []
         entries = []
-        for path in self.root.rglob(f"*{ARTIFACT_SUFFIX}"):
+        for path in root.rglob(pattern):
             try:
-                entries.append((path, path.stat()))
+                st = path.stat()
             except OSError:
                 continue
+            if stat.S_ISREG(st.st_mode):
+                entries.append((path, st))
         return entries
+
+    def _retired_roots(self) -> List[Path]:
+        """Sibling ``v<digits>/`` directories of other store versions."""
+        base = self.root.parent
+        if not base.is_dir():
+            return []
+        return sorted(
+            path for path in base.iterdir()
+            if path.name[:1] == "v" and path.name[1:].isdigit()
+            and path != self.root and path.is_dir()
+        )
 
     def stats(self) -> dict:
         """``{"files", "bytes", "by_kind": {kind: {"files", "bytes"}}}``."""
@@ -474,23 +492,36 @@ class ArtifactStore:
         return removed, freed
 
     def clear(self) -> Tuple[int, int]:
-        """Remove every artifact; ``(files, bytes)`` actually removed."""
+        """Remove every artifact; ``(files, bytes)`` actually removed.
+
+        Every file under another version's ``v<digits>/`` directory
+        goes too (and counts): no version reads a store it did not
+        write, so nothing else would ever remove it.
+        """
+        retired = self._retired_roots()
+        entries = self._entries()
+        for root in retired:
+            entries += self._entries(root, "*")
         removed = 0
         freed = 0
-        for path, st in self._entries():
+        for path, st in entries:
             if self._unlink_counted(path):
                 removed += 1
                 freed += st.st_size
-        # Prune now-empty shard directories, best-effort.
-        if self.root.is_dir():
-            for path in sorted(
-                self.root.rglob("*"), key=lambda p: len(p.parts), reverse=True
-            ):
-                if path.is_dir():
-                    try:
-                        path.rmdir()
-                    except OSError:
-                        pass
+        # Prune now-empty directories, deepest first, best-effort; a
+        # retired version's own directory goes with them.
+        dirs = [
+            path
+            for root in (self.root, *retired) if root.is_dir()
+            for path in root.rglob("*") if path.is_dir()
+        ]
+        for path in sorted(
+            dirs + retired, key=lambda p: len(p.parts), reverse=True
+        ):
+            try:
+                path.rmdir()
+            except OSError:
+                pass
         return removed, freed
 
     @staticmethod

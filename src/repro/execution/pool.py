@@ -27,11 +27,6 @@ tables, group tables and artifact-store handle from nothing.
   whole lifetime — a worker that planned a window once serves the next
   request for it from memory.  Two workers planning one scope each add
   their own sidecar part, so neither overwrites the other's entries.
-* **Shared-memory reuse** — the backtest ships its history through the
-  long-lived content-hash-keyed registry (:func:`repro.execution.
-  shm_pool.shared_trace_handle`), so a history's shm segments are
-  created once per process and mapped once per worker, not once per
-  call.
 * **Lifecycle** — explicitly closeable (:func:`close_shared_pool`),
   closed at interpreter exit (``atexit``), and wired through
   :func:`repro.core.two_level.register_cache_clearer` so
@@ -273,20 +268,7 @@ def close_shared_pool() -> None:
         pool.close()
 
 
-def _close_at_exit() -> None:
-    """Interpreter-exit teardown: workers first, then shm segments.
-
-    The order matters: the executor is joined before the shared-memory
-    registry unlinks its blocks, so no worker dies mid-task with its
-    mappings yanked.
-    """
-    close_shared_pool()
-    from .shm_pool import close_trace_pools
-
-    close_trace_pools()
-
-
-atexit.register(_close_at_exit)
+atexit.register(close_shared_pool)
 
 # A warm pool is a shared cache of provisioned processes: the single
 # "drop every shared cache" switch must drop it too, or tests that

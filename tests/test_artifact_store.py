@@ -10,6 +10,9 @@ and through the full planning and replay pipeline.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,6 +556,24 @@ class TestEviction:
         removed, freed = store.clear()
         assert removed == 3 and freed > 0
         assert store.stats() == {"files": 0, "bytes": 0, "by_kind": {}}
+
+    def test_clear_cli_removes_a_retired_version(self, tmp_path):
+        retired = tmp_path / "v1" / "group_tables" / "ab" / "ab00.npz"
+        retired.parent.mkdir(parents=True)
+        retired.write_bytes(b"\0" * 64)
+        store = ArtifactStore(tmp_path)
+        self._fill(store, n=1)
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "artifacts",
+             "--dir", str(tmp_path), "--clear"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert "cleared 2 artifact(s)" in out
+        assert not retired.exists()
+        assert not (tmp_path / "v1").exists()
+        assert store.stats()["files"] == 0
 
     def test_save_runs_periodic_eviction(self, tmp_path, monkeypatch):
         monkeypatch.setattr(artifacts, "_EVICT_EVERY_WRITES", 2)

@@ -601,7 +601,7 @@ class TestFramework:
         rules = get_rules()
         assert [r.id for r in rules] == [
             "R001", "R002", "R003", "R005", "R006", "R007",
-            "R009", "R010", "R011", "R013", "R015", "R016",
+            "R009", "R010", "R015", "R016",
         ]
         for rule in rules:
             assert rule.title and rule.description

@@ -1,7 +1,7 @@
 """Tests for reprolint v3: process-safety & determinism analysis.
 
 Covers the escape analysis (boundary sites, worker-reachable closure,
-clearer sanctions), the rules R010, R011 and R013 plus R001's
+clearer sanctions), rule R010 plus R001's
 worker-payload checks with positive and negative fixtures, the
 container-element dataflow extension feeding R003/R001, the git-aware ``--changed`` CLI mode, the enriched SARIF
 descriptors, and — most importantly — meta-tests that mutate copies of
@@ -179,122 +179,6 @@ class TestR010WorkerGlobals:
 
 
 # ----------------------------------------------------------------------
-# R011 — shm lifecycle pairing
-# ----------------------------------------------------------------------
-class TestR011ShmLifecycle:
-    def test_created_block_never_closed(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    import numpy as np
-                    from multiprocessing import shared_memory
-
-                    def make(n):
-                        shm = shared_memory.SharedMemory(create=True, size=n)
-                        buf = np.ndarray((n,), buffer=shm.buf)
-                        buf[:] = 0.0
-                    """,
-            },
-            select=["R011"],
-        )
-        assert rule_ids(result) == ["R011"]
-        assert "never reaches a .close()" in result.findings[0].message
-
-    def test_created_block_closed_but_not_unlinked(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    from multiprocessing import shared_memory
-
-                    def make(n):
-                        shm = shared_memory.SharedMemory(create=True, size=n)
-                        shm.close()
-                    """,
-            },
-            select=["R011"],
-        )
-        assert rule_ids(result) == ["R011"]
-        assert "/dev/shm leaks" in result.findings[0].message
-
-    def test_attach_without_tracker_guard(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    from multiprocessing import shared_memory
-
-                    def attach(name):
-                        shm = shared_memory.SharedMemory(name=name)
-                        shm.close()
-                    """,
-            },
-            select=["R011"],
-        )
-        assert rule_ids(result) == ["R011"]
-        assert "bpo-38119" in result.findings[0].message
-
-    def test_attach_with_tracker_guard_is_quiet(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    from multiprocessing import resource_tracker
-                    from multiprocessing import shared_memory
-
-                    def attach(name, owner_tracker_pid, my_tracker_pid):
-                        shm = shared_memory.SharedMemory(name=name)
-                        if my_tracker_pid != owner_tracker_pid:
-                            resource_tracker.unregister(shm._name, "shared_memory")
-                        shm.close()
-                    """,
-            },
-            select=["R011"],
-        )
-        assert result.findings == []
-
-    def test_container_transfer_satisfies_obligation(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    from multiprocessing import shared_memory
-
-                    _BLOCKS = []
-
-                    def make(n):
-                        shm = shared_memory.SharedMemory(create=True, size=n)
-                        _BLOCKS.append(shm)
-
-                    def teardown():
-                        for shm in _BLOCKS:
-                            shm.close()
-                            shm.unlink()
-                    """,
-            },
-            select=["R011"],
-        )
-        assert result.findings == []
-
-    def test_escape_via_return_is_callers_problem(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    from multiprocessing import shared_memory
-
-                    def make(n):
-                        shm = shared_memory.SharedMemory(create=True, size=n)
-                        return shm
-                    """,
-            },
-            select=["R011"],
-        )
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # R001 in worker-reachable code — stateless job payloads (formerly R012)
 # ----------------------------------------------------------------------
 class TestR012StatelessJobs:
@@ -436,87 +320,6 @@ class TestR012StatelessJobs:
                     """,
             },
             select=["R001"],
-        )
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
-# R013 — pid-guarded singleton reads
-# ----------------------------------------------------------------------
-class TestR013PidGuards:
-    def test_flags_unguarded_read(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    _SHARED_POOL = None
-
-                    def get_pool():
-                        return _SHARED_POOL
-                    """,
-            },
-            select=["R013"],
-        )
-        assert rule_ids(result) == ["R013"]
-        assert "_SHARED_POOL" in result.findings[0].message
-        assert "pid" in result.findings[0].message
-
-    def test_guarded_read_is_quiet(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    import os
-
-                    _SHARED_POOL = None
-                    _SHARED_PID = -1
-
-                    def get_pool():
-                        global _SHARED_POOL, _SHARED_PID
-                        pid = os.getpid()
-                        if _SHARED_PID != pid:
-                            _SHARED_POOL = object()
-                            _SHARED_PID = pid
-                        return _SHARED_POOL
-                    """,
-            },
-            select=["R013"],
-        )
-        assert result.findings == []
-
-    def test_registered_clearer_is_exempt(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    from repro.core.two_level import register_cache_clearer
-
-                    _SHARED_POOL = None
-
-                    def close_pool():
-                        global _SHARED_POOL
-                        if _SHARED_POOL is not None:
-                            _SHARED_POOL = None
-
-                    register_cache_clearer(close_pool)
-                    """,
-            },
-            select=["R013"],
-        )
-        assert result.findings == []
-
-    def test_plain_scalars_are_not_singletons(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/execution/mod.py": """
-                    POOL_SIZE = 8
-
-                    def size():
-                        return POOL_SIZE
-                    """,
-            },
-            select=["R013"],
         )
         assert result.findings == []
 
@@ -730,10 +533,9 @@ class TestSarifMetadata:
             assert desc["defaultConfiguration"]["level"] == rule.severity.value
             assert desc["helpUri"]
         # v3 rules link to the escape-analysis design section.
-        for rid in ("R010", "R011", "R013"):
-            assert by_id[rid]["helpUri"].endswith(
-                "#13-process-safety-escape-analysis"
-            )
+        assert by_id["R010"]["helpUri"].endswith(
+            "#13-process-safety-escape-analysis"
+        )
         results = payload["runs"][0]["results"]
         assert any(r["ruleId"] == "R001" for r in results)
 
@@ -775,12 +577,15 @@ class TestMetaRealCode:
     test fails loudly instead of silently mutating nothing."""
 
     #: Package-relative sources; ``mutations`` and the returned texts
-    #: are keyed by file name.  The harness keeps ``replay_many``
-    #: worker-reachable (``_run_cell_task`` → ``_run_cell``).
+    #: are keyed by file name.  The harness keeps ``replay_many`` and
+    #: through it the kernel tables worker-reachable (``_run_cell_task``
+    #: → ``_run_cell`` → ``replay_many`` → ``replay_batch`` →
+    #: ``trace_tables``).
     MODULES = (
         "execution/pool.py",
-        "execution/shm_pool.py",
         "execution/montecarlo.py",
+        "execution/batch_replay.py",
+        "execution/kernels.py",
         "backtest/harness.py",
     )
 
@@ -812,47 +617,8 @@ class TestMetaRealCode:
 
     def test_unmutated_copies_are_clean(self, tmp_path):
         paths, _ = self._copy_execution(tmp_path)
-        result = self._lint(
-            tmp_path, paths, ["R001", "R010", "R011", "R013"]
-        )
+        result = self._lint(tmp_path, paths, ["R001", "R010"])
         assert result.findings == []
-
-    def test_dropping_unlink_fires_r011(self, tmp_path):
-        mutations = {
-            "shm_pool.py": [(
-                "                shm.close()\n"
-                "                shm.unlink()",
-                "                shm.close()",
-            )],
-        }
-        paths, texts = self._copy_execution(tmp_path, mutations)
-        result = self._lint(tmp_path, paths, ["R011"])
-        assert rule_ids(result) == ["R011"]
-        finding = result.findings[0]
-        assert finding.path.endswith("shm_pool.py")
-        assert finding.line == self._line_of(
-            texts["shm_pool.py"], "shm = shared_memory.SharedMemory("
-        )
-        assert "never .unlink()ed" in finding.message
-
-    def test_bypassing_pid_guard_fires_r013(self, tmp_path):
-        old = (
-            "        pool = _SHARED_POOL\n"
-            "        if pool is not None and _SHARED_PID != pid:\n"
-        )
-        mutations = {
-            "pool.py": [(
-                old,
-                "        pool = _SHARED_POOL\n"
-                "        if False and pool is None:\n",
-            )],
-        }
-        paths, texts = self._copy_execution(tmp_path, mutations)
-        result = self._lint(tmp_path, paths, ["R013"])
-        assert [f.rule for f in result.findings] == ["R013"]
-        finding = result.findings[0]
-        assert finding.path.endswith("pool.py")
-        assert "_SHARED_POOL" in finding.message
 
     def test_wall_clock_in_worker_fires_r012(self, tmp_path):
         anchor = (
@@ -877,17 +643,22 @@ class TestMetaRealCode:
         )
 
     def test_dropping_attach_clearer_fires_r010(self, tmp_path):
+        # The worker fills the kernel table cache on every replay; the
+        # registered clearer is what makes that fill a managed cache.
         mutations = {
-            "shm_pool.py": [(
-                "register_cache_clearer(_drop_attached)\n",
+            "kernels.py": [(
+                "register_cache_clearer(clear_table_cache)\n",
                 "",
             )],
         }
         paths, texts = self._copy_execution(tmp_path, mutations)
         result = self._lint(tmp_path, paths, ["R010"])
-        assert result.findings, "dropping the clearer must unsanction _ATTACHED"
+        assert result.findings, (
+            "dropping the clearer must unsanction _TABLE_CACHE"
+        )
         assert {f.rule for f in result.findings} == {"R010"}
+        assert all(f.path.endswith("kernels.py") for f in result.findings)
         lines = {f.line for f in result.findings}
         assert self._line_of(
-            texts["shm_pool.py"], "_ATTACHED[handle.pool_id] = history"
+            texts["kernels.py"], "_TABLE_CACHE[key] = tables"
         ) in lines

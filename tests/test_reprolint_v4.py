@@ -770,7 +770,7 @@ class TestMetaRealCode:
 
     MODULES = {
         "src/repro/execution/pool.py": EXECUTION / "pool.py",
-        "src/repro/execution/shm_pool.py": EXECUTION / "shm_pool.py",
+        "src/repro/execution/artifacts.py": EXECUTION / "artifacts.py",
         "src/repro/execution/montecarlo.py": EXECUTION / "montecarlo.py",
         "src/repro/backtest/harness.py": BACKTEST / "harness.py",
     }
@@ -805,29 +805,29 @@ class TestMetaRealCode:
         result = self._lint(tmp_path, paths, ["R001", "R015", "R016"])
         assert result.findings == []
 
-    def test_unguarding_backtest_gather_fires_r016(self, tmp_path):
-        # run_backtest's serial-recompute fallback: catching only the
+    def test_narrowing_artifact_walk_fires_r016(self, tmp_path):
+        # The artifact store's directory walk (R016's motivating bug: a
+        # stat racing a concurrent eviction): catching only the
         # FileNotFoundError subclass leaves the general OSError escaping.
-        rel = "src/repro/backtest/harness.py"
+        rel = "src/repro/execution/artifacts.py"
+        old = (
+            "                st = path.stat()\n"
+            "            except OSError:\n"
+        )
         mutations = {
-            rel: [(
-                "        except OSError:\n"
-                "            # A worker lost the shm segment between",
-                "        except FileNotFoundError:\n"
-                "            # A worker lost the shm segment between",
-            )],
+            rel: [(old, old.replace("OSError", "FileNotFoundError"))],
         }
         paths, texts = self._copy(tmp_path, mutations)
         result = self._lint(tmp_path, paths, ["R016"])
-        assert result.findings, "narrowed backtest gather must fire R016"
+        assert result.findings, "narrowed artifact walk must fire R016"
         assert {f.rule for f in result.findings} == {"R016"}
         assert all(f.path == rel for f in result.findings)
         assert any(
-            "run_backtest() documents a fail-open contract" in f.message
+            "_entries() documents a fail-open contract" in f.message
             for f in result.findings
         )
         lines = {f.line for f in result.findings}
-        assert self._line_of(texts[rel], "pool.run_ordered(") in lines
+        assert self._line_of(texts[rel], "st = path.stat()") in lines
 
     def test_module_level_generator_fires_r014(self, tmp_path):
         rel = "src/repro/execution/montecarlo.py"

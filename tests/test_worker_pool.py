@@ -2,10 +2,11 @@
 
 The contracts under test: parallel ``run_backtest`` is bit-identical to
 serial at any job count, sequential parallel backtests reuse one
-executor and one shm registry entry instead of respawning per call, the
-pool works under the ``spawn`` start method (module-level entry points
-only), and ``close()`` leaves no worker processes or shared-memory
-segments behind.
+executor instead of respawning per call, a forked child never adopts
+its parent's shared pool, the pool works under the ``spawn`` start
+method (module-level entry points only), ``close()`` leaves no worker
+processes behind, and :func:`resolve_jobs` is the single authority for
+the worker-count decision.
 """
 
 from __future__ import annotations
@@ -16,23 +17,17 @@ import os
 import pytest
 
 from repro import obs
-from repro.cloud.instance_types import get_instance_type
 from repro.cloud.zones import Zone
 from repro.config import SompiConfig
-from repro.core.problem import OnDemandOption, Problem
 from repro.errors import ConfigurationError
 from repro.backtest import build_manifest, run_backtest
-from repro.execution import shm_pool
 from repro.execution.pool import (
     WorkerPool,
     close_shared_pool,
     default_max_workers,
+    resolve_jobs,
 )
-from repro.execution.shm_pool import shared_trace_handle
 from repro.experiments.env import ExperimentEnv
-from repro.market.history import SpotPriceHistory
-from repro.market.trace import SpotPriceTrace
-from tests.conftest import make_group
 
 
 def _mini_env(seed: int = 11) -> ExperimentEnv:
@@ -56,20 +51,6 @@ def _mini_manifest(env: ExperimentEnv):
         deadline_factors=(("loose", 1.5),),
         n_samples=30,
     )
-
-
-@pytest.fixture
-def spiky_problem():
-    g = make_group(exec_time=6.0, overhead=0.5, recovery=0.5, n_instances=2)
-    od = OnDemandOption(get_instance_type("c3.xlarge"), 8, 5.0)
-    problem = Problem(groups=(g,), ondemand_options=(od,), deadline=20.0)
-    times, prices = [], []
-    for k in range(60):
-        times += [12.0 * k, 12.0 * k + 9.0]
-        prices += [0.05, 0.90]
-    h = SpotPriceHistory()
-    h.add(g.key, SpotPriceTrace(times, prices, 732.0))
-    return problem, h
 
 
 # ----------------------------------------------------------------------
@@ -102,22 +83,18 @@ class TestBacktestParallelIdentity:
 # Pool reuse across sequential parallel backtests
 # ----------------------------------------------------------------------
 class TestSequentialReuse:
-    def test_one_spawn_many_calls_and_shm_registry_hits(self):
+    def test_one_spawn_many_calls_and_warm_pool_hits(self):
         env = _mini_env()
         manifest = _mini_manifest(env)
         close_shared_pool()
-        shm_pool.close_trace_pools()
         metrics = obs.get_metrics()
         spawns0 = metrics.get("pool.spawns")
         first = run_backtest(env, manifest, jobs=2)
         assert metrics.get("pool.spawns") == spawns0 + 1
-        hits0 = metrics.get("cache.shm_pool_hits")
         warm0 = metrics.get("pool.warm_hits")
         second = run_backtest(env, manifest, jobs=2)
-        # Same process, same history content: no new executor, no new
-        # shm blocks — the registry and the shared pool both hit warm.
+        # Same process: no new executor, the shared pool hits warm.
         assert metrics.get("pool.spawns") == spawns0 + 1
-        assert metrics.get("cache.shm_pool_hits") == hits0 + 1
         assert metrics.get("pool.warm_hits") == warm0 + 1
         assert first.results == second.results
 
@@ -152,6 +129,48 @@ class TestSequentialReuse:
 
 
 # ----------------------------------------------------------------------
+# Fork safety of the shared slot
+# ----------------------------------------------------------------------
+def _forked_child_probe(conn, parent_pool) -> None:
+    """Runs in a ``fork`` child: does the shared slot start a new lineage?"""
+    pool = WorkerPool.shared(2)
+    conn.send((pool is not parent_pool, pool.spawned))
+    close_shared_pool()
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkSafety:
+    def test_forked_child_gets_its_own_unspawned_pool(self):
+        close_shared_pool()
+        parent_pool = WorkerPool.shared(2)
+        try:
+            assert parent_pool.submit(os.getpid).result() != os.getpid()
+            assert parent_pool.spawned
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(
+                target=_forked_child_probe, args=(send, parent_pool)
+            )
+            child.start()
+            send.close()
+            assert recv.poll(60), "forked child sent no report"
+            report = recv.recv()
+            child.join(timeout=60)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+            # The child got a pool of its own, not yet spawned ...
+            assert report == (True, False)
+            # ... and its close left the parent's executor serving.
+            assert WorkerPool.shared(2) is parent_pool
+            assert parent_pool.submit(os.getpid).result(
+                timeout=60
+            ) != os.getpid()
+        finally:
+            close_shared_pool()
+
+
+# ----------------------------------------------------------------------
 # Start-method portability
 # ----------------------------------------------------------------------
 class TestSpawnSmoke:
@@ -162,6 +181,27 @@ class TestSpawnSmoke:
             assert pid != os.getpid()
         finally:
             pool.close()
+
+
+# ----------------------------------------------------------------------
+# The worker-count rule
+# ----------------------------------------------------------------------
+class TestResolveJobs:
+    def test_none_means_serial(self):
+        assert resolve_jobs(None, 100) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1, -7])
+    def test_nonpositive_is_a_configuration_error(self, jobs):
+        with pytest.raises(ConfigurationError):
+            resolve_jobs(jobs, 100)
+
+    def test_single_start_stays_serial(self):
+        assert resolve_jobs(8, 1) == 1
+        assert resolve_jobs(8, 0) == 1
+
+    def test_capped_by_start_count(self):
+        assert resolve_jobs(8, 3) == 3
+        assert resolve_jobs(3, 100) == 3
 
 
 # ----------------------------------------------------------------------
@@ -179,19 +219,6 @@ class TestTeardown:
             # zombie) worker would still answer signal 0.
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
-
-    def test_close_trace_pools_unlinks_segments(self, spiky_problem):
-        from multiprocessing import shared_memory
-
-        _, h = spiky_problem
-        shm_pool.close_trace_pools()
-        handle = shared_trace_handle(h)
-        names = [entry[2] for entry in handle.entries]
-        assert names
-        shm_pool.close_trace_pools()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
     def test_close_is_idempotent_and_resubmittable(self):
         pool = WorkerPool(1)
