@@ -20,17 +20,19 @@ slices have disjoint content by construction.
 Everything is deterministic given (seed, manifest): random streams are
 derived statelessly from the seed and the (window, app, deadline) cell,
 so a manifest re-run — same process or fresh — is bit-identical.  That
-same property makes the window×app×deadline grid embarrassingly
-parallel: ``run_backtest(jobs=N)`` fans whole cells out over the
-persistent shared :class:`~repro.execution.pool.WorkerPool` and gathers
-results in grid order, so ``jobs=1`` and ``jobs=N`` reports are
-bit-identical (``tests/test_worker_pool.py`` holds this down).
+same property makes the grid embarrassingly parallel.  Work is cut
+into (window, app) chunks, each running its deadlines in order and
+sharing one failure-model dict; ``run_backtest(jobs=N)`` fans whole
+chunks out over the persistent shared
+:class:`~repro.execution.pool.WorkerPool` and flattens their cells in
+grid order, so ``jobs=1`` and ``jobs=N`` reports are bit-identical
+(``tests/test_worker_pool.py`` holds this down).
 
 A cell needs only its own window's prices, so the parent splits each
-window once (:func:`~repro.core.windows.split_history`) and every cell
+window once (:func:`~repro.core.windows.split_history`) and every chunk
 of that window, serial or pooled, gets the same ``(plan, holdout)``
-pair: pooled cells receive it pickled as ordinary task arguments, and
-each worker derives its cell's streams from (seed, cell) exactly as
+pair: pooled chunks receive it pickled as ordinary task arguments, and
+each worker derives its cells' streams from (seed, cell) exactly as
 the serial loop does.
 """
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,6 +252,7 @@ def plan_window(
     problem: Problem,
     plan_history: SpotPriceHistory,
     config,
+    models: Optional[Dict[MarketKey, FailureModel]] = None,
 ) -> Tuple[SompiPlan, Mapping[MarketKey, FailureModel]]:
     """Plan one problem from one plan window's history, nothing else.
 
@@ -257,11 +260,23 @@ def plan_window(
     models (the only consumer of price history during planning) are
     built from ``plan_history`` alone.  Returned models back the
     predicted-failure calibration points.
+
+    ``models`` is an optional per-window dict keyed by market that this
+    call fills on demand: the cells of one (window, app) chunk pass the
+    same dict, so each market is fitted once per chunk and every cell
+    after the first reuses the model, its memo and the planner tables
+    cached with it.  A model is a pure function of its market's plan
+    slice, so sharing one cannot change a plan.
     """
+    if models is None:
+        models = {}
     with obs.get_metrics().timer("backtest.plan"):
-        models = build_failure_models(
-            problem, plan_history, step_hours=config.time_step_hours
-        )
+        if any(spec.key not in models for spec in problem.groups):
+            fitted = build_failure_models(
+                problem, plan_history, step_hours=config.time_step_hours
+            )
+            for key, model in fitted.items():
+                models.setdefault(key, model)
         plan = SompiOptimizer(problem, models, config).plan()
     return plan, models
 
@@ -359,6 +374,7 @@ def _run_cell(
     app: str,
     deadline_name: str,
     problem: Problem,
+    models: Dict[MarketKey, FailureModel],
 ) -> WindowResult:
     """Plan on the window's past, replay on its future, compare.
 
@@ -366,13 +382,14 @@ def _run_cell(
     statelessly from ``rng``'s seed and the cell identity, so a worker
     process handed the same (window slices, config, seed, cell)
     produces the bit-identical :class:`WindowResult` the serial loop
-    would.  Observability *events* are the caller's job
-    (:func:`_emit_cell`) so serial and parallel runs emit the same
-    stream from the parent process.
+    would.  ``models`` is the chunk's failure-model dict
+    (:func:`plan_window` fills it).  Observability *events* are the
+    caller's job (:func:`_emit_cell`) so serial and parallel runs emit
+    the same stream from the parent process.
     """
     metrics = obs.get_metrics()
     stream = f"backtest:{window.index}:{app}:{deadline_name}"
-    plan, models = plan_window(problem, plan_history, config)
+    plan, models = plan_window(problem, plan_history, config, models)
     predicted_miss = _predicted_miss(
         problem,
         plan,
@@ -450,7 +467,36 @@ def _emit_cell(result: WindowResult) -> None:
         metrics.inc("backtest.replan_triggers")
 
 
-def _run_cell_task(
+def _run_chunk(
+    plan_history: SpotPriceHistory,
+    holdout_history: SpotPriceHistory,
+    config,
+    rng: RngRegistry,
+    n_samples: int,
+    window: BacktestWindow,
+    app: str,
+    deadlines: Sequence[Tuple[str, Problem]],
+) -> Iterator[WindowResult]:
+    """The cells of one (window, app) chunk, one per deadline, in order.
+
+    The unit of backtest work, serial or pooled.  The chunk's cells plan
+    the same markets on the same plan slice, so they share one
+    failure-model dict: each market is fitted once per chunk, and the
+    planner caches keyed by model identity or by content (group tables,
+    subset scores, exact re-evaluations) hit for every deadline after
+    the first, in whichever process runs the chunk.  Cells are yielded
+    one at a time so :func:`_run_chunk_task` can snapshot each one's
+    metrics.
+    """
+    models: Dict[MarketKey, FailureModel] = {}
+    for deadline_name, problem in deadlines:
+        yield _run_cell(
+            plan_history, holdout_history, config, rng, n_samples,
+            window, app, deadline_name, problem, models,
+        )
+
+
+def _run_chunk_task(
     plan_history: SpotPriceHistory,
     holdout_history: SpotPriceHistory,
     seed: int,
@@ -458,21 +504,24 @@ def _run_cell_task(
     n_samples: int,
     window: BacktestWindow,
     app: str,
-    deadline_name: str,
-    problem: Problem,
-) -> Tuple[WindowResult, dict]:
-    """Worker entry point for one cell, handed its window's slices.
+    deadlines: Sequence[Tuple[str, Problem]],
+) -> List[Tuple[WindowResult, dict]]:
+    """Worker entry point for one chunk, handed its window's slices.
 
-    The worker's metrics registry is reset first and its snapshot
-    returned, so the parent can fold per-cell planner/replay counters
-    in exactly as the experiments runner does.
+    The worker's metrics registry is reset before each cell and that
+    cell's snapshot returned beside its result, so the parent folds
+    per-cell planner/replay counters in exactly as the experiments
+    runner does, one snapshot per cell.
     """
+    out = []
     obs.reset_metrics()
-    result = _run_cell(
+    for result in _run_chunk(
         plan_history, holdout_history, config, RngRegistry(seed),
-        n_samples, window, app, deadline_name, problem,
-    )
-    return result, obs.get_metrics().snapshot()
+        n_samples, window, app, deadlines,
+    ):
+        out.append((result, obs.get_metrics().snapshot()))
+        obs.reset_metrics()
+    return out
 
 
 def run_backtest(env, manifest: BacktestManifest, jobs=None) -> BacktestReport:
@@ -482,16 +531,18 @@ def run_backtest(env, manifest: BacktestManifest, jobs=None) -> BacktestReport:
     stateless derivation from the seed and the cell identity, and window
     bounds come from the manifest, never from clocks or fresh draws.
 
-    ``jobs=N`` runs cells (the grid's windows × apps × deadlines) in
-    the persistent shared worker pool; results are gathered in grid
-    order and every stream still derives from (seed, cell), so the
-    report is bit-identical to ``jobs=1``.
+    The unit of work is the (window, app) chunk: its cells, one per
+    deadline, run in order in one process (:func:`_run_chunk`) and share
+    one failure-model dict.  ``jobs=1`` runs the chunks in-process;
+    ``jobs=N`` submits one task per chunk to the persistent shared
+    worker pool (at most one worker per chunk) and flattens the
+    per-cell results in grid order.  Every stream still derives from
+    (seed, cell) and every planner cache is pure and keyed by content
+    or identity, so the report is bit-identical to ``jobs=1``.
 
-    Each window's history is split once, here; its cells share that
-    ``(plan, holdout)`` pair, which pooled cells receive pickled as
-    task arguments.  Every planner and kernel cache a cell touches is
-    pure and keyed by content or identity, so sharing the slices
-    cannot change a result.
+    Each window's history is split once, here; its chunks share that
+    ``(plan, holdout)`` pair, which a pooled chunk receives pickled as
+    task arguments (once per chunk, not once per cell).
     """
     manifest.check_traces(env.history)
     if manifest.seed != env.seed:
@@ -501,49 +552,46 @@ def run_backtest(env, manifest: BacktestManifest, jobs=None) -> BacktestReport:
         )
     metrics = obs.get_metrics()
     # Problems depend only on the app catalog (deadlines come from
-    # baseline on-demand times), so build each once across windows.
-    problems: Dict[Tuple[str, str], Problem] = {}
-    for app in manifest.apps:
-        for dl_name, factor in manifest.deadline_factors:
-            problems[(app, dl_name)] = env.problem(app, deadline_factor=factor)
-    cells = [
-        (window, app, dl_name)
-        for window in manifest.windows
+    # baseline on-demand times), so build each app's once across windows.
+    deadlines: Dict[str, List[Tuple[str, Problem]]] = {
+        app: [
+            (dl_name, env.problem(app, deadline_factor=factor))
+            for dl_name, factor in manifest.deadline_factors
+        ]
         for app in manifest.apps
-        for dl_name, _factor in manifest.deadline_factors
+    }
+    chunks = [
+        (window, app) for window in manifest.windows for app in manifest.apps
     ]
     splits = {
         window.index: split_history(env.history, window)
         for window in manifest.windows
     }
-    n_jobs = resolve_jobs(jobs, len(cells))
+    n_jobs = resolve_jobs(jobs, len(chunks))
+    results: List[WindowResult] = []
     if n_jobs > 1:
         pool = WorkerPool.shared(n_jobs)
         with metrics.timer("backtest.parallel"):
             gathered = pool.run_ordered(
-                _run_cell_task,
+                _run_chunk_task,
                 [
                     (
                         *splits[window.index], env.seed, env.config,
-                        manifest.n_samples, window, app, dl_name,
-                        problems[(app, dl_name)],
+                        manifest.n_samples, window, app, deadlines[app],
                     )
-                    for window, app, dl_name in cells
+                    for window, app in chunks
                 ],
             )
-        results: List[WindowResult] = []
-        for result, snapshot in gathered:
-            metrics.merge_snapshot(snapshot)
-            results.append(result)
+        for chunk in gathered:
+            for result, snapshot in chunk:
+                metrics.merge_snapshot(snapshot)
+                results.append(result)
     else:
-        results = [
-            _run_cell(
+        for window, app in chunks:
+            results.extend(_run_chunk(
                 *splits[window.index], env.config, env.rng,
-                manifest.n_samples, window, app, dl_name,
-                problems[(app, dl_name)],
-            )
-            for window, app, dl_name in cells
-        ]
+                manifest.n_samples, window, app, deadlines[app],
+            ))
     # Events and counters are emitted here — after compute, in grid
     # order — so serial and parallel runs produce the same stream.
     cursor = 0

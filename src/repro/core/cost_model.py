@@ -23,7 +23,7 @@ cross-validates the two on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -150,52 +150,90 @@ class Expectation:
 # ----------------------------------------------------------------------
 # Extreme-value helpers over independent discrete non-negative RVs
 # ----------------------------------------------------------------------
-def _survival_at(
-    values: np.ndarray, pmf: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """``P(Y >= g)`` for each grid point, for a discrete RV (values, pmf)."""
+class Marginal(NamedTuple):
+    """One discrete RV ``(values, pmf)``, prepared for survival lookups.
+
+    Everything here is a pure function of the RV, so the planner prepares
+    each table row once and reuses it in every exact evaluation that
+    touches the row (DESIGN.md §8, "Prepared marginals").
+    """
+
+    support: np.ndarray  # np.unique(values): the distinct values, sorted
+    values: np.ndarray  # the values, stably sorted
+    tail0: np.ndarray  # tail0[k] = P(Y >= values[k]); tail0[-1] = 0.0
+
+
+def prepare_marginal(values: np.ndarray, pmf: np.ndarray) -> Marginal:
+    """The row-only part of every survival lookup, computed once."""
+    values = np.asarray(values, float)
+    pmf = np.asarray(pmf, float)
     order = np.argsort(values, kind="stable")
-    vs = values[order]
-    ps = pmf[order]
-    tail = np.cumsum(ps[::-1])[::-1]  # tail[k] = P(Y >= vs[k])
-    idx = np.searchsorted(vs, grid, side="left")
-    out = np.zeros(grid.size)
-    inside = idx < vs.size
-    out[inside] = tail[idx[inside]]
-    return out
+    tail = np.cumsum(pmf[order][::-1])[::-1]
+    return Marginal(
+        np.unique(values), values[order], np.concatenate([tail, [0.0]])
+    )
+
+
+def outcome_marginals(outcome: GroupOutcome) -> Tuple[Marginal, Marginal]:
+    """``(ratio, wall)`` marginals of one group outcome."""
+    return (
+        prepare_marginal(outcome.ratios, outcome.pmf),
+        prepare_marginal(outcome.wall, outcome.pmf),
+    )
+
+
+def survival_at(marginal: Marginal, grid: np.ndarray) -> np.ndarray:
+    """``P(Y >= g)`` for each grid point; 0 beyond the largest value."""
+    return marginal.tail0[np.searchsorted(marginal.values, grid, side="left")]
+
+
+def _positive_grid(marginals: Sequence[Marginal]) -> np.ndarray:
+    """Every distinct positive value any of the RVs takes, sorted."""
+    grid = np.unique(np.concatenate([m.support for m in marginals]))
+    return grid[grid > 0]
+
+
+def expected_min_prepared(marginals: Sequence[Marginal]) -> float:
+    """``E[min_i Y_i]`` for independent discrete non-negative RVs."""
+    grid = _positive_grid(marginals)
+    if grid.size == 0:
+        return 0.0
+    surv = np.ones(grid.size)
+    for m in marginals:
+        surv *= survival_at(m, grid)
+    deltas = np.diff(np.concatenate([[0.0], grid]))
+    return float(np.dot(deltas, surv))
+
+
+def expected_max_prepared(marginals: Sequence[Marginal]) -> float:
+    """``E[max_i Y_i]`` for independent discrete non-negative RVs."""
+    grid = _positive_grid(marginals)
+    if grid.size == 0:
+        return 0.0
+    # P(max >= g) = 1 - prod_i (1 - P(Y_i >= g))
+    prod_below = np.ones(grid.size)
+    for m in marginals:
+        prod_below *= 1.0 - survival_at(m, grid)
+    deltas = np.diff(np.concatenate([[0.0], grid]))
+    return float(np.dot(deltas, 1.0 - prod_below))
 
 
 def expected_min(
     values_list: Sequence[np.ndarray], pmf_list: Sequence[np.ndarray]
 ) -> float:
     """``E[min_i Y_i]`` for independent discrete non-negative RVs."""
-    grid = np.unique(np.concatenate([np.asarray(v, float) for v in values_list]))
-    grid = grid[grid > 0]
-    if grid.size == 0:
-        return 0.0
-    surv = np.ones(grid.size)
-    for values, pmf in zip(values_list, pmf_list):
-        surv *= _survival_at(np.asarray(values, float), np.asarray(pmf, float), grid)
-    deltas = np.diff(np.concatenate([[0.0], grid]))
-    return float(np.dot(deltas, surv))
+    return expected_min_prepared(
+        [prepare_marginal(v, p) for v, p in zip(values_list, pmf_list)]
+    )
 
 
 def expected_max(
     values_list: Sequence[np.ndarray], pmf_list: Sequence[np.ndarray]
 ) -> float:
     """``E[max_i Y_i]`` for independent discrete non-negative RVs."""
-    grid = np.unique(np.concatenate([np.asarray(v, float) for v in values_list]))
-    grid = grid[grid > 0]
-    if grid.size == 0:
-        return 0.0
-    # P(max >= g) = 1 - prod_i (1 - P(Y_i >= g))
-    prod_below = np.ones(grid.size)
-    for values, pmf in zip(values_list, pmf_list):
-        prod_below *= 1.0 - _survival_at(
-            np.asarray(values, float), np.asarray(pmf, float), grid
-        )
-    deltas = np.diff(np.concatenate([[0.0], grid]))
-    return float(np.dot(deltas, 1.0 - prod_below))
+    return expected_max_prepared(
+        [prepare_marginal(v, p) for v, p in zip(values_list, pmf_list)]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -205,14 +243,23 @@ def evaluate(
     outcomes: Sequence[GroupOutcome], ondemand: OnDemandOption
 ) -> Expectation:
     """Exact expected cost/time via per-group marginals (fast path)."""
+    return evaluate_prepared(
+        outcomes, [outcome_marginals(o) for o in outcomes], ondemand
+    )
+
+
+def evaluate_prepared(
+    outcomes: Sequence[GroupOutcome],
+    marginals: Sequence[Tuple[Marginal, Marginal]],
+    ondemand: OnDemandOption,
+) -> Expectation:
+    """:func:`evaluate` with each outcome's ``(ratio, wall)`` marginals
+    already prepared (the planner caches them per table row)."""
     if not outcomes:
         raise ConfigurationError("need at least one group outcome")
     spot_cost = sum(o.expected_spot_cost() for o in outcomes)
-    ratios = [o.ratios for o in outcomes]
-    walls = [o.wall for o in outcomes]
-    pmfs = [o.pmf for o in outcomes]
-    e_min_ratio = expected_min(ratios, pmfs)
-    e_max_wall = expected_max(walls, pmfs)
+    e_min_ratio = expected_min_prepared([m[0] for m in marginals])
+    e_max_wall = expected_max_prepared([m[1] for m in marginals])
     od_cost = e_min_ratio * ondemand.full_run_cost
     time = e_max_wall + e_min_ratio * ondemand.exec_time
     completion = 1.0 - float(

@@ -61,7 +61,14 @@ from ..errors import ConfigurationError
 from ..market.failure import FailureModel
 from ..market.history import MarketKey
 from . import grid_eval
-from .cost_model import Expectation, GroupOutcome, evaluate
+from .cost_model import (
+    Expectation,
+    GroupOutcome,
+    Marginal,
+    evaluate_prepared,
+    outcome_marginals,
+    survival_at,
+)
 from .keys import hash_key
 from .problem import Decision, GroupDecision, OnDemandOption, Problem
 
@@ -150,6 +157,9 @@ class _RawGroupEntry:
     # wall_hi -> (surv_ratio, surv_wall, below_wall); below_wall is
     # 1 - surv_wall, derived on load and never persisted.
     grids: dict = field(default_factory=dict)
+    # bid row -> its (ratio, wall) marginals, filled on first use by the
+    # grid build and the exact re-evaluation; never persisted.
+    marginals: dict = field(default_factory=dict)
 
 
 def _entry_to_arrays(entry: _RawGroupEntry, prefix: str) -> dict:
@@ -235,6 +245,7 @@ class _GroupTable:
     surv_wall: np.ndarray  # (nb, WALL_GRID)  P(wall  >= midpoint)
     below_wall: np.ndarray  # (nb, WALL_GRID)  1 - surv_wall
     token: str = ""
+    marginals: dict = field(default_factory=dict)  # the entry's, shared
 
     @property
     def n_bids(self) -> int:
@@ -263,16 +274,14 @@ class SubsetResult:
         )
 
 
-def _survival_rows(values: np.ndarray, pmf: np.ndarray, midpoints: np.ndarray) -> np.ndarray:
-    """``P(Y >= m)`` for each midpoint, one discrete RV."""
-    order = np.argsort(values, kind="stable")
-    vs, ps = values[order], pmf[order]
-    tail = np.cumsum(ps[::-1])[::-1]
-    idx = np.searchsorted(vs, midpoints, side="left")
-    out = np.zeros(midpoints.size)
-    inside = idx < vs.size
-    out[inside] = tail[idx[inside]]
-    return out
+def _row_marginals(
+    marginals: dict, outcomes: Sequence[GroupOutcome], b: int
+) -> Tuple[Marginal, Marginal]:
+    """Bid row ``b``'s ``(ratio, wall)`` marginals, prepared once per row."""
+    pair = marginals.get(b)
+    if pair is None:
+        pair = marginals[b] = outcome_marginals(outcomes[b])
+    return pair
 
 
 class TwoLevelOptimizer:
@@ -379,17 +388,20 @@ class TwoLevelOptimizer:
         cfg = self.config
         metrics = obs.get_metrics()
         specs = list(enumerate(self.problem.groups))
-        tokens = [self._group_token(self._models[i], spec) for i, spec in specs]
+        # A memory hit carries its token; only misses hash theirs.
+        tokens: list[str] = []
         entries: dict[int, _RawGroupEntry] = {}
         keys = {i: self._entry_key(spec) for i, spec in specs}
-        for i, _ in specs:
+        for i, spec in specs:
             pm = _RAW_TABLE_CACHE.setdefault(self._models[i], {})
             entry = pm.get(keys[i])
             if entry is not None:
                 metrics.inc("cache.table_hits")
                 entries[i] = entry
+                tokens.append(entry.token)
             else:
                 metrics.inc("cache.table_misses")
+                tokens.append(self._group_token(self._models[i], spec))
 
         missing = [i for i, _ in specs if i not in entries]
         store = self._store
@@ -485,9 +497,12 @@ class TwoLevelOptimizer:
                 nb = entry.bids.size
                 surv_ratio = np.empty((nb, _RATIO_GRID))
                 surv_wall = np.empty((nb, _WALL_GRID))
-                for b, o in enumerate(entry.outcomes):
-                    surv_ratio[b] = _survival_rows(o.ratios, o.pmf, ratio_mid)
-                    surv_wall[b] = _survival_rows(o.wall, o.pmf, wall_mid)
+                for b in range(nb):
+                    ratio_m, wall_m = _row_marginals(
+                        entry.marginals, entry.outcomes, b
+                    )
+                    surv_ratio[b] = survival_at(ratio_m, ratio_mid)
+                    surv_wall[b] = survival_at(wall_m, wall_mid)
                 grids_map[i] = (surv_ratio, surv_wall, 1.0 - surv_wall)
                 entry.grids[wall_hi] = grids_map[i]
             if grids_key is not None:
@@ -508,6 +523,7 @@ class TwoLevelOptimizer:
                 entry.e_ratio,
                 *grids,
                 entry.token,
+                entry.marginals,
             )
         self._grids_ready = True
         self._load_sidecar()
@@ -859,7 +875,11 @@ class TwoLevelOptimizer:
         exact = _EXACT_EVAL_CACHE.get(key)
         if exact is None:
             obs.get_metrics().inc("cache.exact_misses")
-            exact = evaluate(outcomes, self.ondemand)
+            marginals = [
+                _row_marginals(t.marginals, t.outcomes, b)
+                for t, b in zip(tables, combo)
+            ]
+            exact = evaluate_prepared(outcomes, marginals, self.ondemand)
             if len(_EXACT_EVAL_CACHE) >= _EXACT_EVAL_CACHE_MAX:
                 _EXACT_EVAL_CACHE.clear()
             _EXACT_EVAL_CACHE[key] = exact

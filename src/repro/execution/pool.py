@@ -1,8 +1,8 @@
 """Persistent warm worker pool for every parallel consumer (DESIGN.md §12).
 
-Parallelism in this library is coarse: whole backtest cells
-(``run_backtest(jobs=N)``, ``repro backtest --jobs``) and whole
-experiments (``runner --jobs``).  Monte-Carlo replay itself stays
+Parallelism in this library is coarse: whole backtest chunks, one
+(window, app) with all its deadline cells each (``run_backtest(jobs=N)``,
+``repro backtest --jobs``), and whole experiments (``runner --jobs``).  Monte-Carlo replay itself stays
 in-process — one batched array pass covers every starting point, and
 fanning starts out measured slower than serial (DESIGN.md §12).  Before
 this module, each parallel entry point paid its own process-level cold
@@ -15,7 +15,7 @@ tables, group tables and artifact-store handle from nothing.
 
 * **One executor per process** — :meth:`WorkerPool.shared` lazily
   creates a single process-wide pool and every consumer (parallel
-  backtest cells, ``runner --jobs``, the perf bench) submits to it.
+  backtest chunks, ``runner --jobs``, the perf bench) submits to it.
   The pool grows when a caller asks for more workers than it has; it
   never shrinks (idle workers are the cache).
 * **Warm workers** — an initializer runs once per worker: it pays the
@@ -25,8 +25,11 @@ tables, group tables and artifact-store handle from nothing.
   parts, group tables, trace/bid index tables) then load lazily from
   the warm store and stay in the worker's in-memory caches for its
   whole lifetime — a worker that planned a window once serves the next
-  request for it from memory.  Two workers planning one scope each add
-  their own sidecar part, so neither overwrites the other's entries.
+  request for it from memory.  That is why the backtest submits one
+  task per (window, app) chunk rather than per cell: the deadline cells
+  that look up each other's tables run in the same worker.  Two
+  workers planning one scope each add their own sidecar part, so
+  neither overwrites the other's entries.
 * **Lifecycle** — explicitly closeable (:func:`close_shared_pool`),
   closed at interpreter exit (``atexit``), and wired through
   :func:`repro.core.two_level.register_cache_clearer` so

@@ -172,3 +172,33 @@ class TestComboBatches:
     def test_single_batch_fast_path(self):
         (batch,) = list(_combo_batches([2, 2], max_batch=100))
         assert batch.shape == (4, 2)
+
+
+class TestWarmReplanHashing:
+    def test_memory_hits_reuse_their_token(self, setup, tmp_path, monkeypatch):
+        """A warm re-plan hashes only its sidecar scope: every group
+        table is a memory hit and carries its content token, so no
+        group token is re-hashed (the bundle key is only needed on a
+        miss)."""
+        import repro.core.two_level as two_level
+
+        problem, models, od, cfg = setup
+        cfg = cfg.with_(artifact_dir=str(tmp_path))
+        two_level.clear_shared_caches()
+        cold = TwoLevelOptimizer(problem, models, od, cfg)
+        first = cold.optimize_subset((0, 1))
+        calls = []
+        real = two_level.hash_key
+
+        def counting(*parts):
+            calls.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(two_level, "hash_key", counting)
+        warm = TwoLevelOptimizer(problem, models, od, cfg)
+        assert warm.optimize_subset((0, 1)) == first
+        assert len(calls) == 1  # the sidecar scope, not 1 + 2 groups
+        assert [t.token for t in warm._tables.values()] == [
+            t.token for t in cold._tables.values()
+        ]
+        two_level.clear_shared_caches()

@@ -578,9 +578,9 @@ class TestMetaRealCode:
 
     #: Package-relative sources; ``mutations`` and the returned texts
     #: are keyed by file name.  The harness keeps ``replay_many`` and
-    #: through it the kernel tables worker-reachable (``_run_cell_task``
-    #: → ``_run_cell`` → ``replay_many`` → ``replay_batch`` →
-    #: ``trace_tables``).
+    #: through it the kernel tables worker-reachable (``_run_chunk_task``
+    #: → ``_run_chunk`` → ``_run_cell`` → ``replay_many`` →
+    #: ``replay_batch`` → ``trace_tables``).
     MODULES = (
         "execution/pool.py",
         "execution/montecarlo.py",

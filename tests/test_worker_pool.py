@@ -79,6 +79,59 @@ class TestBacktestParallelIdentity:
         assert metrics.get("backtest.cells") == before + cells
 
 
+class TestMultiCellChunks:
+    """Two apps × two deadlines: every (window, app) chunk runs two
+    cells in one worker, sharing its failure models."""
+
+    @staticmethod
+    def _manifest(env):
+        return build_manifest(
+            env,
+            n_windows=2,
+            plan_hours=5 * 24.0,
+            holdout_hours=3 * 24.0,
+            apps=("BT", "SP"),
+            deadline_factors=(("loose", 1.5), ("tight", 1.1)),
+            n_samples=20,
+        )
+
+    def test_jobs_match_serial_bit_identically(self):
+        env = _mini_env()
+        manifest = self._manifest(env)
+        serial = run_backtest(env, manifest, jobs=1)
+        assert len(serial.results) == 8
+        for jobs in (2, 8):
+            parallel = run_backtest(_mini_env(), manifest, jobs=jobs)
+            assert parallel.results == serial.results
+
+    def test_one_task_per_chunk_one_snapshot_per_cell(self, monkeypatch):
+        env = _mini_env()
+        manifest = self._manifest(env)
+        n_chunks = len(manifest.windows) * len(manifest.apps)
+        n_cells = n_chunks * len(manifest.deadline_factors)
+        metrics = obs.get_metrics()
+        snapshots = []
+        merge = metrics.merge_snapshot
+
+        def recording(snapshot):
+            snapshots.append(snapshot)
+            merge(snapshot)
+
+        monkeypatch.setattr(metrics, "merge_snapshot", recording)
+        tasks0 = metrics.get("pool.tasks")
+        cells0 = metrics.get("backtest.cells")
+        plan = metrics.timers.get("backtest.plan")
+        plans0 = plan.calls if plan is not None else 0
+        run_backtest(env, manifest, jobs=2)
+        assert metrics.get("pool.tasks") == tasks0 + n_chunks
+        assert metrics.get("backtest.cells") == cells0 + n_cells
+        assert metrics.timers["backtest.plan"].calls == plans0 + n_cells
+        assert len(snapshots) == n_cells
+        assert all(
+            s["timers"]["backtest.plan"]["calls"] == 1 for s in snapshots
+        )
+
+
 # ----------------------------------------------------------------------
 # Pool reuse across sequential parallel backtests
 # ----------------------------------------------------------------------
