@@ -3,10 +3,10 @@
 ``make lint`` re-runs on every edit loop, so the engine caches findings
 keyed by *content*, never by mtime:
 
-* **file-scope findings** (rules with ``uses_project=False``) replay
-  whenever that one file's hash is unchanged;
-* **project-scope findings** (graph rules and ``uses_project`` rules)
-  replay only when the *whole* fingerprint — every linted file's hash —
+* **file-scope findings** (``scope = "file"`` rules) replay whenever
+  that one file's hash is unchanged;
+* **project-scope findings** (``scope = "project"`` rules) replay
+  only when the *whole* fingerprint — every linted file's hash —
   is unchanged.  Any edit anywhere re-runs them all, which is the sound
   choice: a one-line signature change can move findings in any file.
 

@@ -226,8 +226,7 @@ def run_lint(
     root = Path(root) if root is not None else Path.cwd()
     rules = list(rules) if rules is not None else get_rules()
     need_graph = any(r.needs_graph for r in rules)
-    file_rules = [r for r in rules if r.scope == "file" and not r.uses_project]
-    graph_file_rules = [r for r in rules if r.scope == "file" and r.uses_project]
+    file_rules = [r for r in rules if r.scope == "file"]
     project_rules = [r for r in rules if r.scope == "project"]
 
     files = discover(paths)
@@ -343,12 +342,6 @@ def run_lint(
                 for finding in rule.check(unit, ctx):
                     if not unit.is_suppressed(finding.rule, finding.line):
                         per_file[unit.relpath]["file_findings"].append(finding)
-        for rule in graph_file_rules:
-            if not rule.applies(unit.relpath):
-                continue
-            for finding in rule.check(unit, ctx):
-                if not unit.is_suppressed(finding.rule, finding.line):
-                    per_file[unit.relpath]["project_findings"].append(finding)
 
     for rule in project_rules:
         for finding in rule.check_project(ctx):

@@ -1,17 +1,16 @@
 """Whole-program import/symbol graph and call graph for reprolint.
 
 Built once per lint run from every parsed module, then handed to rules
-through :class:`~.engine.LintContext`: per-file rules consult it for
-cross-module facts (callee return dimensions, re-exports) and
-project-scope rules (R007 ledger-audit coverage, R001 seed lineage)
-traverse it directly.
+through :class:`~.engine.LintContext`: project-scope rules (R007
+ledger-audit coverage, R001 seed lineage) traverse it directly, and
+the escape analysis and the summary fixpoint are built on top of it.
 
 Resolution is deliberately best-effort and *under*-approximate: a call
 the resolver cannot attribute (dynamic dispatch, higher-order plumbing)
 simply produces no edge.  Rules built on the graph must therefore be
 phrased so that missing edges cause missed findings, never false
-positives — the same conservatism contract as the dimension inference
-of :mod:`.dataflow`.
+positives — the same conservatism contract as the entropy taint of
+:mod:`.dataflow`.
 """
 
 from __future__ import annotations

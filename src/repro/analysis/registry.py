@@ -32,14 +32,13 @@ class Rule:
     and optionally :meth:`applies` to scope themselves to a subset of
     the tree.
 
-    Two orthogonal graph knobs drive dispatch and cache keying:
+    Three graph knobs drive dispatch and cache keying:
 
     * ``scope`` — ``"file"`` rules run per module via :meth:`check`;
       ``"project"`` rules run once per lint via :meth:`check_project`
-      and see the whole :class:`~.project.ProjectGraph`.
-    * ``uses_project`` — a *file*-scope rule that consults the graph
-      sets this so the incremental cache re-runs it when *any* file
-      changes, not just its own.  Project-scope rules imply it.
+      and see the whole :class:`~.project.ProjectGraph`.  The cache
+      replays file-scope findings per file and re-runs project-scope
+      rules whenever *any* file changes.
     * ``needs_escape`` — the rule additionally consumes the escape
       analysis (:mod:`.escape`): the engine builds ``ctx.escape`` on
       top of the graph only when some selected rule asks for it.
@@ -57,7 +56,6 @@ class Rule:
     severity: Severity = Severity.ERROR
     description: str = ""
     scope: str = "file"  # "file" | "project"
-    uses_project: bool = False
     needs_escape: bool = False
     needs_summaries: bool = False
     help_uri: str = ""
@@ -66,7 +64,6 @@ class Rule:
     def needs_graph(self) -> bool:
         return (
             self.scope == "project"
-            or self.uses_project
             or self.needs_escape
             or self.needs_summaries
         )
@@ -153,7 +150,6 @@ def in_benchmarks(relpath: str) -> bool:
 
     The benchmark suite is figure-generation and measurement code: it
     must stay deterministic (R001) and honest about comparisons
-    and failures (R005/R006), but it is not library API — docstring
-    unit contracts (R003/R009) do not apply there.
+    and failures (R005/R006), but it is not library API.
     """
     return relpath.startswith("benchmarks/") or "/benchmarks/" in relpath

@@ -7,11 +7,9 @@ with ``@register``, and import the module here.
 from . import (  # noqa: F401
     r001_randomness,
     r002_caches,
-    r003_units,
     r005_float_eq,
     r006_exceptions,
     r007_ledger_audit,
-    r009_doc_units,
     r010_worker_globals,
     r015_ordered_reduction,
     r016_fail_open,

@@ -212,15 +212,12 @@ class SeedLineage(Rule):
             written = escape.written_globals(syms.module) if workers else None
             functions = syms.functions.values() if seeded else workers
             for info in sorted(functions, key=lambda i: i.qualname):
-                facts = summaries.class_facts_for(info)
                 issues = analyze_entropy(
                     info.node,
                     process_globals=written if info.key in label else None,
                     call_resolver=summaries.entropy_resolver(info),
                     sink_param_resolver=summaries.sink_resolver(info),
-                    tainted_fields=(
-                        facts.entropy_fields if facts else frozenset()
-                    ),
+                    tainted_fields=summaries.entropy_fields_for(info),
                 )
                 prefix = label.get(info.key, f"in {info.qualname}()")
                 for issue in issues:

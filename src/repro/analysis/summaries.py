@@ -1,10 +1,7 @@
 """Interprocedural function summaries, iterated to fixpoint (v4).
 
-PR 6 gave R003 exactly one caller→callee hop: a call's dimension came
-from analysing the callee's own returns, with anything deeper falling
-back to name suffixes.  This module replaces that with classic
-summary-based analysis: every function gets a :class:`FunctionSummary`
-— its return-unit dimension, whether its return value carries process
+Classic summary-based analysis: every function gets a
+:class:`FunctionSummary` — whether its return value carries process
 entropy, which of its parameters (transitively) reach a seed sink, and
 which modeled exceptions can escape it — and summaries are computed
 over the call graph's SCC condensation (:meth:`~.project.ProjectGraph.
@@ -12,15 +9,12 @@ sccs`) in reverse topological order.  Acyclic chains converge in one
 visit per function; mutually-recursive groups iterate within their SCC
 until the (finite, small) facts stop changing.
 
-Alongside the per-function table, :class:`ClassFacts` aggregates
-**instance-field facts** per class: ``self.x`` assignments across all
-methods join into a per-field dimension environment (``__init__``
-writes seed reads elsewhere; conflicting writers or container mutators
-invalidate), plus the set of fields ever assigned from process entropy.
-These seed the ``"self.x"`` keys of :mod:`.dataflow`'s environment so
-unit drift and seed taint flow through objects, not just locals.
+Alongside the per-function table, the index records per class the set
+of instance fields (``self.x``) any method assigns from process
+entropy.  R001's taint reads them, so seed taint flows through
+objects, not just locals.
 
-Conservatism splits by consumer.  The dimension/entropy/sink facts keep
+Conservatism splits by consumer.  The entropy/sink facts keep
 the under-approximation contract — unresolvable calls produce no facts,
 so rules miss findings rather than invent them.  The exception facts
 invert it on purpose: R016 asserts the *absence* of escaping
@@ -44,23 +38,13 @@ from hashlib import sha256
 from time import perf_counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .dataflow import (
-    EntropyTaint,
-    SEED_SINK_LEAVES,
-    all_param_names,
-    analyze_scope,
-    default_call_resolver,
-    infer_return_dim,
-    self_attr_key,
-    suffix_dim,
-)
+from .dataflow import EntropyTaint, SEED_SINK_LEAVES, all_param_names
 from .project import FuncKey, ProjectGraph
 from .symbols import FunctionInfo, dotted_name, own_exprs, walk_expr_shallow
 
 #: Iterations an SCC may take before we accept the last state.  Facts
 #: cross one call edge per sweep, so a cycle of N functions needs at
-#: most ~N sweeps; the floor covers tiny cycles whose dimension facts
-#: wobble once before settling.
+#: most ~N sweeps; the floor covers tiny cycles.
 _MAX_SCC_SWEEPS = 16
 
 # ----------------------------------------------------------------------
@@ -122,14 +106,12 @@ _BOUNDARY_LEAVES = frozenset({"submit", "run_ordered", "map"})
 class FunctionSummary:
     """Interprocedural facts of one function, joined at call sites."""
 
-    return_dim: Optional[str] = None
     entropy_return: bool = False
     seed_sink_params: FrozenSet[str] = frozenset()
     raises: FrozenSet[str] = frozenset()
 
     def to_json(self) -> dict:
         return {
-            "dim": self.return_dim,
             "entropy": self.entropy_return,
             "sinks": sorted(self.seed_sink_params),
             "raises": sorted(self.raises),
@@ -138,22 +120,10 @@ class FunctionSummary:
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionSummary":
         return cls(
-            return_dim=doc.get("dim"),
             entropy_return=bool(doc.get("entropy")),
             seed_sink_params=frozenset(doc.get("sinks", ())),
             raises=frozenset(doc.get("raises", ())),
         )
-
-
-@dataclass
-class ClassFacts:
-    """Instance-field facts of one class, joined across its methods."""
-
-    fields_dim: Dict[str, Optional[str]] = field(default_factory=dict)
-    field_containers: Dict[str, Dict[object, Optional[str]]] = field(
-        default_factory=dict
-    )
-    entropy_fields: FrozenSet[str] = frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -388,10 +358,14 @@ class _SinkFlow:
 
 @dataclass
 class SummaryIndex:
-    """Fixpoint summary table plus per-class field facts."""
+    """Fixpoint summary table plus per-class entropy fields."""
 
     functions: Dict[FuncKey, FunctionSummary] = field(default_factory=dict)
-    classes: Dict[Tuple[str, str], ClassFacts] = field(default_factory=dict)
+    #: ``(module, class qualname)`` → ``"self.x"`` keys some method of
+    #: the class assigns from process entropy.
+    class_entropy: Dict[Tuple[str, str], FrozenSet[str]] = field(
+        default_factory=dict
+    )
     #: Cache payload: SCC content key → [[module, qualname, summary]].
     scc_payload: Dict[str, List[list]] = field(default_factory=dict)
     stats: Dict[str, object] = field(default_factory=dict)
@@ -407,7 +381,7 @@ class SummaryIndex:
     ) -> "SummaryIndex":
         t0 = perf_counter()
         index = cls(_graph=graph)
-        index._build_class_facts(graph)
+        index._build_class_entropy(graph)
         components, component_of = graph.sccs()
         comp_keys: List[str] = []
         replayed = recomputed = 0
@@ -453,8 +427,8 @@ class SummaryIndex:
         }
         return index
 
-    # ----------------------------------------------------- class facts
-    def _build_class_facts(self, graph: ProjectGraph) -> None:
+    # ------------------------------------------------ class entropy
+    def _build_class_entropy(self, graph: ProjectGraph) -> None:
         for syms in graph.by_relpath.values():
             tree = syms.unit.tree
 
@@ -462,8 +436,8 @@ class SummaryIndex:
                 for node in body:
                     if isinstance(node, ast.ClassDef):
                         qual = f"{prefix}{node.name}"
-                        self.classes[(syms.module, qual)] = (
-                            _class_facts(node)
+                        self.class_entropy[(syms.module, qual)] = (
+                            _entropy_fields(node)
                         )
                         walk(node.body, f"{qual}.")
                     elif isinstance(
@@ -473,12 +447,10 @@ class SummaryIndex:
 
             walk(tree.body, "")
 
-    def class_facts_for(self, info: FunctionInfo) -> Optional[ClassFacts]:
-        """Field facts of the class a method belongs to, if any."""
+    def entropy_fields_for(self, info: FunctionInfo) -> FrozenSet[str]:
+        """Entropy-assigned fields of the class a method belongs to."""
         prefix, _, _ = info.qualname.rpartition(".")
-        if not prefix:
-            return None
-        return self.classes.get((info.module, prefix))
+        return self.class_entropy.get((info.module, prefix), frozenset())
 
     # -------------------------------------------------------- fixpoint
     def _fixpoint(self, graph: ProjectGraph, comp: List[FuncKey]) -> None:
@@ -498,24 +470,10 @@ class SummaryIndex:
         self, graph: ProjectGraph, info: FunctionInfo
     ) -> FunctionSummary:
         node = info.node
-        facts = self.class_facts_for(info)
-        self_env = None
-        if facts is not None and info.is_method:
-            self_env = {
-                f"self.{name}": dim
-                for name, dim in facts.fields_dim.items()
-            }
-
-        return_dim = infer_return_dim(
-            node, resolver=self.dim_resolver(info), self_env=self_env
-        )
-
         taint = EntropyTaint(
             params=all_param_names(node),
             call_resolver=self.entropy_resolver(info),
-            tainted_fields=(
-                facts.entropy_fields if facts is not None else frozenset()
-            ),
+            tainted_fields=self.entropy_fields_for(info),
         )
         taint.run(node.body)
 
@@ -526,33 +484,12 @@ class SummaryIndex:
         raises = escaping_raises(node.body, self.raise_resolver(info))
 
         return FunctionSummary(
-            return_dim=return_dim,
             entropy_return=taint.entropy_return,
             seed_sink_params=frozenset(flow.sink_params),
             raises=raises,
         )
 
     # ------------------------------------------------------- resolvers
-    def dim_resolver(self, caller: Optional[FunctionInfo]):
-        """Unit dimension of a call, through arbitrarily many hops."""
-
-        def resolve(name: str) -> Optional[str]:
-            callee = (
-                self._graph.resolve_call(caller, name)
-                if self._graph is not None and caller is not None
-                else None
-            )
-            if callee is None:
-                return default_call_resolver(name)
-            summary = self.functions.get(callee.key)
-            if summary is not None:
-                return summary.return_dim
-            # Not yet summarized (first sweep of this SCC): the name
-            # suffix is still a sound fact.
-            return suffix_dim(callee.name)
-
-        return resolve
-
     def entropy_resolver(self, caller: Optional[FunctionInfo]):
         """Why a call's return value is process entropy, or None."""
 
@@ -634,83 +571,20 @@ class SummaryIndex:
         return resolve
 
 
-def _class_facts(node: ast.ClassDef) -> ClassFacts:
-    """Join ``self.x`` facts across one class's methods.
+def _entropy_fields(node: ast.ClassDef) -> FrozenSet[str]:
+    """Fields any of one class's methods assigns from process entropy.
 
-    ``__init__`` is processed first and seeds the per-field facts;
-    every other method is a potential invalidator: a write that
-    disagrees with (or obscures) the seeded dimension drops the fact,
-    and a container mutator on a field drops its element facts.  The
-    join is flow-insensitive across methods by design — any method may
-    run between any two others — while each method body stays
-    flow-sensitive through :class:`~.dataflow.ScopeAnalyzer`.
+    The join is flow-insensitive across methods by design — any method
+    may run between any two others — so one tainted write anywhere
+    taints the field in every method.
     """
-    methods = [
-        n for n in node.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    methods.sort(key=lambda m: (m.name != "__init__", m.name))
-
-    facts = ClassFacts()
-    conflicted: Set[str] = set()
     entropy: Set[str] = set()
-
-    for method in methods:
-        params = all_param_names(method)
-        analyzer = analyze_scope(method.body, params=params)
-        writes = {
-            key[len("self."):]: dim
-            for key, dim in analyzer.env.items()
-            if key.startswith("self.")
-        }
-        is_init = method.name == "__init__"
-        for name, dim in writes.items():
-            if name not in facts.fields_dim:
-                facts.fields_dim[name] = dim
-            elif facts.fields_dim[name] != dim:
-                conflicted.add(name)
-            if not is_init:
-                # A non-init writer supersedes any element facts the
-                # constructor seeded for this field.
-                facts.field_containers.pop(name, None)
-        if is_init:
-            for key, elems in analyzer.containers.items():
-                if key.startswith("self."):
-                    facts.field_containers[key[len("self."):]] = dict(elems)
-        else:
-            for key in _mutated_fields(method):
-                facts.field_containers.pop(key, None)
-
-        taint = EntropyTaint(params=params)
+    for method in node.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        taint = EntropyTaint(params=all_param_names(method))
         taint.run(method.body)
-        for key, dirty in taint.field_writes.items():
-            if dirty:
-                entropy.add(key)
-
-    for name in conflicted:
-        facts.fields_dim.pop(name, None)
-    facts.entropy_fields = frozenset(entropy)
-    return facts
-
-
-def _mutated_fields(method: ast.AST) -> Set[str]:
-    """Fields whose containers a method mutates in place."""
-    from .dataflow import _CONTAINER_MUTATORS
-
-    out: Set[str] = set()
-    for sub in ast.walk(method):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in _CONTAINER_MUTATORS
-        ):
-            key = self_attr_key(sub.func.value)
-            if key is not None:
-                out.add(key[len("self."):])
-        elif isinstance(sub, ast.Subscript) and isinstance(
-            sub.ctx, ast.Store
-        ):
-            key = self_attr_key(sub.value)
-            if key is not None:
-                out.add(key[len("self."):])
-    return out
+        entropy.update(
+            key for key, dirty in taint.field_writes.items() if dirty
+        )
+    return frozenset(entropy)

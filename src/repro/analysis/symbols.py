@@ -70,7 +70,6 @@ class FunctionInfo:
     node: ast.AST = field(repr=False)
     params: List[str] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    is_method: bool = False
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -187,7 +186,7 @@ def extract_symbols(unit: "ModuleUnit") -> ModuleSymbols:
     module = module_name_for(unit.relpath)
     syms = ModuleSymbols(module=module, relpath=unit.relpath, unit=unit)
 
-    def add_function(node, qual_prefix: str, is_method: bool) -> None:
+    def add_function(node, qual_prefix: str) -> None:
         qualname = f"{qual_prefix}{node.name}" if qual_prefix else node.name
         info = FunctionInfo(
             name=node.name,
@@ -198,21 +197,20 @@ def extract_symbols(unit: "ModuleUnit") -> ModuleSymbols:
             node=node,
             params=[a.arg for a in node.args.args if a.arg not in ("self", "cls")],
             calls=_collect_calls(node),
-            is_method=is_method,
         )
         syms.functions[qualname] = info
 
-    def walk_body(body, qual_prefix: str, in_class: bool) -> None:
+    def walk_body(body, qual_prefix: str) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                add_function(node, qual_prefix, in_class)
+                add_function(node, qual_prefix)
                 # Nested defs flatten into the qualname namespace so the
                 # call graph can still attribute their calls.
-                walk_body(node.body, f"{qual_prefix}{node.name}.", False)
+                walk_body(node.body, f"{qual_prefix}{node.name}.")
             elif isinstance(node, ast.ClassDef):
-                walk_body(node.body, f"{qual_prefix}{node.name}.", True)
+                walk_body(node.body, f"{qual_prefix}{node.name}.")
 
-    walk_body(unit.tree.body, "", False)
+    walk_body(unit.tree.body, "")
 
     for node in ast.walk(unit.tree):
         if isinstance(node, ast.Import):

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -95,17 +96,18 @@ _PRUNE_MARGIN = 1e-9
 # windowed re-optimisation stop rebuilding identical tables.  A new
 # trace means a new FailureModel means a fresh cache — no invalidation
 # rules to get wrong.  Subset score vectors and exact re-evaluations are
-# capped dicts, cleared wholesale when full (they are pure caches);
-# their keys are built from content tokens, so entries loaded from the
+# capped insertion-ordered dicts that evict their oldest entries when
+# full (they are pure caches, and evicting only the overflow keeps the
+# live working set); their keys are built from content tokens, so entries loaded from the
 # on-disk sidecar and entries computed live are interchangeable.
 
 _RAW_TABLE_CACHE: "weakref.WeakKeyDictionary[FailureModel, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
-_SUBSET_EVAL_CACHE: dict = {}
+_SUBSET_EVAL_CACHE: OrderedDict = OrderedDict()
 _SUBSET_EVAL_CACHE_MAX = 2048
-_EXACT_EVAL_CACHE: dict = {}
+_EXACT_EVAL_CACHE: OrderedDict = OrderedDict()
 _EXACT_EVAL_CACHE_MAX = 65536
 
 #: Sidecar artifact keys already merged into the process caches — a
@@ -118,6 +120,16 @@ _SIDECAR_LOADED: set = set()
 # single switch for "drop every shared cache" without this module having
 # to import them (which would cycle).
 _EXTERNAL_CACHE_CLEARERS: list = []
+
+
+def _bounded_put(cache: OrderedDict, key, value, cap: int) -> None:
+    """Store ``key`` in ``cache``, evicting the oldest entries past
+    ``cap``.  An ``OrderedDict`` pops its oldest entry in O(1); a plain
+    dict would rescan the slots of earlier deletions on every eviction,
+    a cost that grows with the cap."""
+    cache[key] = value
+    while len(cache) > cap:
+        cache.popitem(last=False)
 
 
 def register_cache_clearer(fn) -> None:
@@ -596,11 +608,11 @@ class TwoLevelOptimizer:
             ck = (tuple(tokens[t] for t in s_tok[tok_off:tok_off + k]),
                   self._wall_hi)
             if ck not in _SUBSET_EVAL_CACHE:
-                _SUBSET_EVAL_CACHE[ck] = (
+                _bounded_put(_SUBSET_EVAL_CACHE, ck, (
                     s_batch[cell_off:cell_off + rows * k].reshape(rows, k),
                     s_cost[row_off:row_off + rows],
                     s_time[row_off:row_off + rows],
-                )
+                ), _SUBSET_EVAL_CACHE_MAX)
             tok_off += k
             row_off += rows
             cell_off += rows * k
@@ -617,7 +629,10 @@ class TwoLevelOptimizer:
                   tuple(e_combo[off:off + k]), odc, odt)
             off += k
             if ek not in _EXACT_EVAL_CACHE:
-                _EXACT_EVAL_CACHE[ek] = Expectation(*vals)
+                _bounded_put(
+                    _EXACT_EVAL_CACHE, ek, Expectation(*vals),
+                    _EXACT_EVAL_CACHE_MAX,
+                )
 
     def save_search_sidecar(self) -> None:
         """Persist the cache entries this optimizer computed as one new
@@ -851,9 +866,10 @@ class TwoLevelOptimizer:
             cost = cost_spot + e_min_ratio * self.ondemand.full_run_cost
             time = e_max_wall + e_min_ratio * self.ondemand.exec_time
             if cache_key is not None:
-                if len(_SUBSET_EVAL_CACHE) >= _SUBSET_EVAL_CACHE_MAX:
-                    _SUBSET_EVAL_CACHE.clear()
-                _SUBSET_EVAL_CACHE[cache_key] = (batch, cost, time)
+                _bounded_put(
+                    _SUBSET_EVAL_CACHE, cache_key, (batch, cost, time),
+                    _SUBSET_EVAL_CACHE_MAX,
+                )
                 self._added_scores[cache_key] = (batch, cost, time)
             yield batch, cost, time
 
@@ -880,9 +896,7 @@ class TwoLevelOptimizer:
                 for t, b in zip(tables, combo)
             ]
             exact = evaluate_prepared(outcomes, marginals, self.ondemand)
-            if len(_EXACT_EVAL_CACHE) >= _EXACT_EVAL_CACHE_MAX:
-                _EXACT_EVAL_CACHE.clear()
-            _EXACT_EVAL_CACHE[key] = exact
+            _bounded_put(_EXACT_EVAL_CACHE, key, exact, _EXACT_EVAL_CACHE_MAX)
             self._added_exacts[key] = exact
         else:
             obs.get_metrics().inc("cache.exact_hits")

@@ -10,7 +10,7 @@ spot price history from the previous window".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..errors import TraceError
 from .trace import SpotPriceTrace
@@ -64,12 +64,3 @@ class SpotPriceHistory:
 
     def __len__(self) -> int:
         return len(self._traces)
-
-    @classmethod
-    def from_mapping(
-        cls, mapping: Iterable[Tuple[MarketKey, SpotPriceTrace]]
-    ) -> "SpotPriceHistory":
-        hist = cls()
-        for key, trace in mapping:
-            hist.add(key, trace)
-        return hist

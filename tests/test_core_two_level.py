@@ -202,3 +202,67 @@ class TestWarmReplanHashing:
             t.token for t in cold._tables.values()
         ]
         two_level.clear_shared_caches()
+
+
+@pytest.mark.parametrize("cache_name,cap_name", [
+    ("_SUBSET_EVAL_CACHE", "_SUBSET_EVAL_CACHE_MAX"),
+    ("_EXACT_EVAL_CACHE", "_EXACT_EVAL_CACHE_MAX"),
+])
+class TestPlannerCacheEviction:
+    """A full planner cache evicts only its oldest entries, at every
+    fill site: a live search and a sidecar merge alike.  Filling the
+    cache to its cap and then adding k entries leaves exactly cap
+    entries, the newest k among them."""
+
+    @staticmethod
+    def _keys_added(cache_name, run):
+        import repro.core.two_level as two_level
+
+        two_level.clear_shared_caches()
+        run()
+        added = list(getattr(two_level, cache_name))
+        assert added
+        return added
+
+    @staticmethod
+    def _check_eviction(monkeypatch, cache_name, cap_name, run, added):
+        import repro.core.two_level as two_level
+
+        two_level.clear_shared_caches()
+        cap = len(added) + 2
+        monkeypatch.setattr(two_level, cap_name, cap)
+        cache = getattr(two_level, cache_name)
+        old = [("old", i) for i in range(cap)]
+        for key in old:
+            cache[key] = None
+        run()
+        assert list(cache) == old[-2:] + added
+        two_level.clear_shared_caches()
+
+    def test_live_search(self, setup, tmp_path, monkeypatch,
+                         cache_name, cap_name):
+        problem, models, od, cfg = setup
+        cfg = cfg.with_(artifact_dir=str(tmp_path))
+
+        def run():
+            TwoLevelOptimizer(problem, models, od, cfg).optimize_subset((0, 1))
+
+        added = self._keys_added(cache_name, run)
+        self._check_eviction(monkeypatch, cache_name, cap_name, run, added)
+
+    def test_sidecar_merge(self, setup, tmp_path, monkeypatch,
+                           cache_name, cap_name):
+        import repro.core.two_level as two_level
+
+        problem, models, od, cfg = setup
+        cfg = cfg.with_(artifact_dir=str(tmp_path))
+        two_level.clear_shared_caches()
+        planner = TwoLevelOptimizer(problem, models, od, cfg)
+        planner.optimize_subset((0, 1))
+        planner.save_search_sidecar()
+
+        def run():  # building the tables merges the saved sidecar
+            TwoLevelOptimizer(problem, models, od, cfg).group_table(0)
+
+        added = self._keys_added(cache_name, run)
+        self._check_eviction(monkeypatch, cache_name, cap_name, run, added)

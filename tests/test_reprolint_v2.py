@@ -2,10 +2,8 @@
 
 Covers the layers PR 5 added on top of the per-file framework: the
 project graph (symbols, imports, call edges, reachability), the
-unit-dataflow lattice behind R003 — including the regression fixture
-proving the v1 suffix-only engine misses what the dataflow engine
-flags — the project-scope rule R007 and R009, the content-hash
-incremental cache, and the SARIF reporter round-trip.
+project-scope rule R007, the content-hash incremental cache, and the
+SARIF reporter round-trip.
 """
 
 import io
@@ -22,7 +20,6 @@ from repro.analysis import (
     get_rules,
     run_lint,
 )
-from repro.analysis.dataflow import infer_dim
 from repro.analysis.engine import discover, load_unit
 from repro.analysis.reporters import report_sarif
 from repro.analysis.symbols import module_name_for
@@ -168,186 +165,6 @@ class TestProjectGraph:
 
 
 # ----------------------------------------------------------------------
-# unit dataflow: the lattice behind R003 v2
-# ----------------------------------------------------------------------
-class TestUnitDataflow:
-    def test_v1_regression_fixture_cross_assignment(self, tmp_path):
-        """The acceptance fixture: v1's suffix pass is provably silent on
-        a drift routed through a neutral intermediate; the dataflow
-        engine flags it."""
-        source = """
-            def total(cost_usd, runtime_hours):
-                extra = runtime_hours
-                return cost_usd + extra
-        """
-        # v1 oracle: `extra` is neutral, so the suffix-only engine saw
-        # dims (dollars, None) and could not fire.
-        import ast as _ast
-        tree = _ast.parse(textwrap.dedent(source))
-        binop = next(
-            n for n in _ast.walk(tree) if isinstance(n, _ast.BinOp)
-        )
-        assert infer_dim(binop.left) == "dollars"
-        assert infer_dim(binop.right) is None  # v1 verdict: no finding
-        # v2 verdict: the assignment taught `extra` hours.
-        result = lint_tree(
-            tmp_path, {"src/repro/core/mod.py": source}, select=["R003"]
-        )
-        assert rule_ids(result) == ["R003"]
-        assert "mixes dollars and hours" in result.findings[0].message
-
-    def test_augassign_through_intermediate(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": """
-                def accumulate(total_dollars, runtime_hours):
-                    tmp = runtime_hours
-                    total_dollars += tmp
-                    return total_dollars
-            """,
-        }, select=["R003"])
-        assert rule_ids(result) == ["R003"]
-        assert "accumulates hours" in result.findings[0].message
-
-    def test_return_against_function_suffix(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": """
-                def total_usd(runtime_hours):
-                    return runtime_hours
-            """,
-        }, select=["R003"])
-        assert rule_ids(result) == ["R003"]
-        assert "declares dollars by suffix but returns" in (
-            result.findings[0].message
-        )
-
-    def test_call_return_dim_resolved_through_project_graph(self, tmp_path):
-        """The callee has no unit suffix — only its *body* reveals the
-        return dimension, and only the graph connects the two files."""
-        result = lint_tree(tmp_path, {
-            "src/repro/core/a.py": """
-                from repro.core import b
-
-                def total(cost_usd):
-                    return cost_usd + b.elapsed()
-            """,
-            "src/repro/core/b.py": """
-                def elapsed():
-                    start_hours = 1.0
-                    return start_hours + 2.0
-            """,
-        }, select=["R003"])
-        assert rule_ids(result) == ["R003"]
-        assert "mixes dollars and hours" in result.findings[0].message
-
-    def test_assign_suffix_conflict_carries_rename_fix(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": """
-                def f(runtime_hours):
-                    wall_s = runtime_hours
-                    return wall_s
-            """,
-        }, select=["R003"])
-        assert rule_ids(result) == ["R003"]
-        assert "'wall_s' declares seconds" in result.findings[0].message
-
-    def test_rates_and_unknowns_stay_silent(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": """
-                def bill(price_per_hour, runtime_hours):
-                    cost_usd = price_per_hour * runtime_hours
-                    unknown = external()
-                    return cost_usd + unknown
-            """,
-        }, select=["R003"])
-        assert result.findings == []
-
-    _MIX_ARG_CALLER = """
-        from repro.core import b
-
-        def schedule(runtime_hours):
-            budget = runtime_hours
-            return b.spend(budget)
-    """
-    _MIX_ARG_CALLEE = """
-        def spend(cost_usd):
-            return cost_usd * 1.1
-    """
-
-    def test_mix_arg_regression_fixture_cross_module(self, tmp_path):
-        """The argument-binding fixture: the caller has no mixed
-        arithmetic, no suffix conflict and no return drift — the only
-        evidence is an hours-valued variable bound to a dollars-named
-        parameter in another module.  The intraprocedural engine is
-        provably silent; only the caller→callee binding check fires."""
-        from repro.analysis.dataflow import analyze_scope, default_call_resolver
-        import ast as _ast
-
-        # Oracle: the same scope without a param_resolver (the engine as
-        # it stood before the binding check) produces zero issues.
-        tree = _ast.parse(textwrap.dedent(self._MIX_ARG_CALLER))
-        fn = next(
-            n for n in _ast.walk(tree) if isinstance(n, _ast.FunctionDef)
-        )
-        silent = analyze_scope(
-            fn.body,
-            params=("runtime_hours",),
-            resolver=default_call_resolver,
-        )
-        assert silent.issues == []
-
-        result = lint_tree(tmp_path, {
-            "src/repro/core/a.py": self._MIX_ARG_CALLER,
-            "src/repro/core/b.py": self._MIX_ARG_CALLEE,
-        }, select=["R003"])
-        assert rule_ids(result) == ["R003"]
-        assert "bound to parameter 'cost_usd'" in result.findings[0].message
-        assert "hours" in result.findings[0].message
-
-    def test_mix_arg_keyword_binding(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/a.py": """
-                from repro.core import b
-
-                def schedule(runtime_hours):
-                    return b.spend(cost_usd=runtime_hours)
-            """,
-            "src/repro/core/b.py": self._MIX_ARG_CALLEE,
-        }, select=["R003"])
-        assert rule_ids(result) == ["R003"]
-        assert "bound to parameter 'cost_usd'" in result.findings[0].message
-
-    def test_mix_arg_star_splat_stops_positional_binding(self, tmp_path):
-        """Past a ``*args`` splat the alignment is unknowable — the
-        check must stay silent rather than guess."""
-        result = lint_tree(tmp_path, {
-            "src/repro/core/a.py": """
-                from repro.core import b
-
-                def schedule(extras, runtime_hours):
-                    return b.combine(*extras, runtime_hours)
-            """,
-            "src/repro/core/b.py": """
-                def combine(cost_usd, budget_usd=0.0):
-                    return cost_usd + budget_usd
-            """,
-        }, select=["R003"])
-        assert result.findings == []
-
-    def test_mix_arg_matching_and_unknown_dims_stay_silent(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/a.py": """
-                from repro.core import b
-
-                def schedule(cost_usd, mystery):
-                    b.spend(cost_usd)
-                    b.spend(mystery)
-            """,
-            "src/repro/core/b.py": self._MIX_ARG_CALLEE,
-        }, select=["R003"])
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # R007 — ledger-audit coverage
 # ----------------------------------------------------------------------
 _R007_BASE = {
@@ -433,80 +250,22 @@ class TestR007LedgerAudit:
 
 
 # ----------------------------------------------------------------------
-# R009 — docstring units vs suffix conventions
-# ----------------------------------------------------------------------
-class TestR009DocUnits:
-    def test_return_field_conflict_flagged(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": '''
-                def transfer_hours(size):
-                    """Transfer time.
-
-                    :returns: wall-clock time in seconds.
-                    """
-                    return size / 100.0
-            ''',
-        }, select=["R009"])
-        assert rule_ids(result) == ["R009"]
-        assert "says it returns seconds" in result.findings[0].message
-
-    def test_summary_phrase_conflict_flagged(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": '''
-                def runtime_s(n):
-                    """Estimated runtime in hours."""
-                    return n * 2.0
-            ''',
-        }, select=["R009"])
-        assert rule_ids(result) == ["R009"]
-
-    def test_param_field_conflict_flagged(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": '''
-                def bill(runtime_hours):
-                    """Bill a run.
-
-                    :param runtime_hours: elapsed seconds of compute.
-                    """
-                    return runtime_hours
-            ''',
-        }, select=["R009"])
-        assert rule_ids(result) == ["R009"]
-        assert "runtime_hours" in result.findings[0].message
-
-    def test_agreeing_and_ambiguous_docs_quiet(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "src/repro/core/mod.py": '''
-                def cost_usd(runtime_hours):
-                    """Cost in dollars.
-
-                    :param runtime_hours: elapsed hours of compute.
-                    :returns: the bill in dollars.
-                    """
-                    return runtime_hours * 0.1
-
-                def rate(x):
-                    """Dollars per hour conversion (mentions both units)."""
-                    return x
-            ''',
-        }, select=["R009"])
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
 # incremental cache
 # ----------------------------------------------------------------------
 _CACHE_FILES = {
     "src/repro/core/a.py": """
+        import numpy as np
+
         from repro.core import b
 
-        def total(cost_usd):
-            return cost_usd + b.elapsed()
+        def draw():
+            return np.random.default_rng(b.stamp())
     """,
     "src/repro/core/b.py": """
-        def elapsed():
-            start_hours = 1.0
-            return start_hours + 2.0
+        import os
+
+        def stamp():
+            return os.getpid()
     """,
     "src/repro/core/c.py": """
         import random
@@ -547,29 +306,34 @@ class TestIncrementalCache:
         ].count("R001") >= 2  # the new import was actually re-linted
 
     def test_cross_file_change_recomputes_project_findings(self, tmp_path):
-        """a.py is byte-identical, but its R003 finding depends on the
+        """a.py is byte-identical, but its R001 finding depends on the
         *callee's* body in b.py — the cache must not replay it."""
         cache = tmp_path / "cache.json"
         first = lint_tree(
-            tmp_path, _CACHE_FILES, select=["R003"], cache_path=cache
+            tmp_path, _CACHE_FILES, select=["R001"], cache_path=cache
         )
-        assert rule_ids(first) == ["R003"]  # dollars + hours-returning call
+        # The pid-derived seed in a.py, plus c.py's random import.
+        assert [(f.rule, f.path) for f in first.findings] == [
+            ("R001", "src/repro/core/a.py"),
+            ("R001", "src/repro/core/c.py"),
+        ]
         (tmp_path / "src/repro/core/b.py").write_text(textwrap.dedent("""
-            def elapsed():
-                start_usd = 1.0
-                return start_usd + 2.0
+            def stamp():
+                return 7
         """))
         second = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"]),
+            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R001"]),
             cache_path=cache,
         )
-        assert second.findings == []  # now dollars + dollars: clean
+        assert second.cache_mode == "partial"  # a.py's file entry replayed
+        # stamp() now returns a constant: a.py's seed is clean.
+        assert [f.path for f in second.findings] == ["src/repro/core/c.py"]
 
     def test_rule_selection_changes_engine_fingerprint(self, tmp_path):
         cache = tmp_path / "cache.json"
         lint_tree(tmp_path, _CACHE_FILES, select=["R001"], cache_path=cache)
         other = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R003"]),
+            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R007"]),
             cache_path=cache,
         )
         assert other.cache_mode == "cold"  # different rules, no replay
@@ -595,7 +359,8 @@ class TestSarif:
             r["id"]: i
             for i, r in enumerate(run["tool"]["driver"]["rules"])
         }
-        assert set(rule_index) >= {"R001", "R003", "R007", "R009"}
+        assert set(rule_index) >= {"R001", "R007"}
+        assert {f.path for f in result.findings} == {"src/repro/core/a.py"}
         new = [r for r in run["results"] if not r.get("suppressions")]
         suppressed = [r for r in run["results"] if r.get("suppressions")]
         assert len(new) == len(result.findings)

@@ -3,7 +3,7 @@
 Covers the escape analysis (boundary sites, worker-reachable closure,
 clearer sanctions), rule R010 plus R001's
 worker-payload checks with positive and negative fixtures, the
-container-element dataflow extension feeding R003/R001, the git-aware ``--changed`` CLI mode, the enriched SARIF
+git-aware ``--changed`` CLI mode, the enriched SARIF
 descriptors, and — most importantly — meta-tests that mutate copies of
 the *real* ``repro.execution`` modules and assert each rule fires on
 the exact broken line: the linter guards the code, so the tests guard
@@ -320,101 +320,6 @@ class TestR012StatelessJobs:
                     """,
             },
             select=["R001"],
-        )
-        assert result.findings == []
-
-
-# ----------------------------------------------------------------------
-# Container-element dataflow (R003 regression fixtures)
-# ----------------------------------------------------------------------
-class TestContainerDataflow:
-    def test_tuple_literal_subscript_mix(self, tmp_path):
-        # Regression: before v3 the engine dropped dimensions at every
-        # container literal, so packing money and hours into a tuple
-        # laundered the units and this add passed silently.
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def total(cost_usd, runtime_hours):
-                        pair = (cost_usd, runtime_hours)
-                        return pair[0] + pair[1]
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-
-    def test_negative_index_alias(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def total(cost_usd, runtime_hours):
-                        pair = (cost_usd, runtime_hours)
-                        return pair[-1] + pair[0]
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-
-    def test_dict_literal_subscript_mix(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def total(cost_usd, runtime_hours):
-                        row = {"cost": cost_usd, "span": runtime_hours}
-                        return row["cost"] + row["span"]
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-
-    def test_tuple_unpack_binding(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def total(cost_usd, runtime_hours):
-                        a, b = (cost_usd, runtime_hours)
-                        return a + b
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-
-    def test_same_dimension_elements_are_clean(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def total(cost_usd, fee_usd):
-                        pair = (cost_usd, fee_usd)
-                        return pair[0] + pair[1]
-                    """,
-            },
-            select=["R003"],
-        )
-        assert result.findings == []
-
-    def test_mutator_invalidates_element_facts(self, tmp_path):
-        # After .append the recorded indices may be stale: facts drop to
-        # unknown rather than risk a wrong-index false positive.
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def total(cost_usd, runtime_hours, extras):
-                        items = [cost_usd]
-                        items.extend(extras)
-                        return items[0] + runtime_hours
-                    """,
-            },
-            select=["R003"],
         )
         assert result.findings == []
 

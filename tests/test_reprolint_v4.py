@@ -1,14 +1,13 @@
 """Tests for reprolint v4: interprocedural summaries & lineage rules.
 
-Covers the fixpoint summary engine (multi-hop R003 dimension flow, SCC
-convergence on call cycles, per-SCC cache replay), the attribute-element
-dataflow (``self.x`` facts joined across methods), R001's seed-lineage
-checks (formerly R014) and the rules R015–R016 with positive and
-negative fixtures, the reworked ``--changed`` scope (whole tree
-analysed, reporting filtered through the import-graph closure), and
-meta-tests that mutate copies of the *real* ``repro.execution`` /
-``repro.backtest`` modules and assert each rule fires on the exact
-broken line.
+Covers the fixpoint summary engine (SCC convergence on call cycles,
+per-SCC cache replay), R001's seed-lineage checks (formerly R014,
+including ``self.x`` entropy facts joined across methods) and the
+rules R015–R016 with positive and negative fixtures, the reworked
+``--changed`` scope (whole tree analysed, reporting filtered through
+the import-graph closure), and meta-tests that mutate copies of the
+*real* ``repro.execution`` / ``repro.backtest`` modules and assert
+each rule fires on the exact broken line.
 """
 
 import textwrap
@@ -39,53 +38,9 @@ def rule_ids(result):
 
 
 # ----------------------------------------------------------------------
-# Summary fixpoint: multi-hop dimension flow and SCC convergence
+# Summary fixpoint: SCC convergence and per-SCC cache replay
 # ----------------------------------------------------------------------
 class TestSummaryFixpoint:
-    def test_dimension_flows_through_two_hops(self, tmp_path):
-        # Before v4, R003 resolved exactly one caller->callee hop; the
-        # inner helper's dimension was invisible through a relay.
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def _raw(x_hours):
-                        return x_hours
-
-                    def relay(x_hours):
-                        return _raw(x_hours)
-
-                    def total(cost_usd):
-                        return cost_usd + relay(1.0)
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-
-    def test_dimension_flows_across_modules(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/units.py": """
-                    def _raw(x_hours):
-                        return x_hours
-
-                    def span(x_hours):
-                        return _raw(x_hours)
-                    """,
-                "src/repro/core/use.py": """
-                    from repro.core.units import span
-
-                    def total(cost_usd):
-                        return cost_usd + span(1.0)
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-        assert result.findings[0].path.endswith("use.py")
-
     def test_three_cycle_scc_converges(self, tmp_path):
         # hop_a -> hop_b -> hop_c -> hop_a: the SCC has no topological
         # order, so the (monotone) sink-param facts iterate within the
@@ -124,43 +79,24 @@ class TestSummaryFixpoint:
         # hop_a/hop_b/hop_c collapse into one SCC; run is its own.
         assert stats["sccs"] >= 2
 
-    def test_same_dimension_chain_is_clean(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    def _raw(x_usd):
-                        return x_usd
-
-                    def relay(x_usd):
-                        return _raw(x_usd)
-
-                    def total(cost_usd):
-                        return cost_usd + relay(1.0)
-                    """,
-            },
-            select=["R003"],
-        )
-        assert result.findings == []
-
     def test_warm_run_replays_unchanged_sccs(self, tmp_path):
         files = {
             "src/repro/core/a.py": """
-                def one_hours(x_hours):
-                    return x_hours
+                def one(x):
+                    return x
 
-                def two_hours(x_hours):
-                    return one_hours(x_hours)
+                def two(x):
+                    return one(x)
                 """,
             "src/repro/core/b.py": """
-                from repro.core.a import two_hours
+                from repro.core.a import two
 
-                def total_hours(x_hours):
-                    return two_hours(x_hours)
+                def total(x):
+                    return two(x)
                 """,
         }
         cache = tmp_path / "cache.json"
-        cold = lint_project(tmp_path, files, select=["R003"], cache_path=cache)
+        cold = lint_project(tmp_path, files, select=["R001"], cache_path=cache)
         assert cold.summary_stats["recomputed"] == 3
         assert cold.summary_stats["replayed"] == 0
         # Edit only b: a's SCCs replay from the cache, b's recompute.
@@ -169,92 +105,11 @@ class TestSummaryFixpoint:
         warm = run_lint(
             [tmp_path / rel for rel in files],
             root=tmp_path,
-            rules=get_rules(["R003"]),
+            rules=get_rules(["R001"]),
             cache_path=cache,
         )
         assert warm.summary_stats["replayed"] == 2
         assert warm.summary_stats["recomputed"] == 1
-
-
-# ----------------------------------------------------------------------
-# Attribute-element dataflow: self.x facts across methods
-# ----------------------------------------------------------------------
-class TestAttributeFacts:
-    def test_init_write_feeds_method_read(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    class Meter:
-                        def __init__(self, cost_usd):
-                            self.cost_usd = cost_usd
-
-                        def drift(self, span_hours):
-                            return self.cost_usd + span_hours
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-
-    def test_conflicting_writers_drop_the_fact(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    class Meter:
-                        def __init__(self, cost_usd):
-                            self.value = cost_usd
-
-                        def rebase(self, span_hours):
-                            self.value = span_hours
-
-                        def drift(self, span_hours):
-                            return self.value + span_hours
-                    """,
-            },
-            select=["R003"],
-        )
-        assert result.findings == []
-
-    def test_container_field_elements(self, tmp_path):
-        # __init__ packs mixed dimensions into a field; a method that
-        # unpacks and adds them drifts.
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    class Box:
-                        def __init__(self, cost_usd, span_hours):
-                            self.pair = (cost_usd, span_hours)
-
-                        def mix(self):
-                            return self.pair[0] + self.pair[1]
-                    """,
-            },
-            select=["R003"],
-        )
-        assert "R003" in rule_ids(result)
-
-    def test_mutator_method_invalidates_element_facts(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    class Box:
-                        def __init__(self, cost_usd):
-                            self.items = [cost_usd]
-
-                        def grow(self, extras):
-                            self.items.extend(extras)
-
-                        def mix(self, span_hours):
-                            return self.items[0] + span_hours
-                    """,
-            },
-            select=["R003"],
-        )
-        assert result.findings == []
 
 
 # ----------------------------------------------------------------------
@@ -709,18 +564,22 @@ class TestR016FailOpen:
 # ----------------------------------------------------------------------
 class TestChangedScope:
     FILES = {
-        "src/repro/core/units.py": """
-            def _raw(x_hours):
-                return x_hours
+        "src/repro/core/stamps.py": """
+            import os
 
-            def span(x_hours):
-                return _raw(x_hours)
+            def _raw():
+                return os.getpid()
+
+            def stamp():
+                return _raw()
             """,
         "src/repro/core/use.py": """
-            from repro.core.units import span
+            import numpy as np
 
-            def total(cost_usd):
-                return cost_usd + span(1.0)
+            from repro.core.stamps import stamp
+
+            def draw():
+                return np.random.default_rng(stamp())
             """,
         "src/repro/core/other.py": """
             import random
@@ -735,15 +594,15 @@ class TestChangedScope:
             p.write_text(textwrap.dedent(text))
             paths.append(p)
         return run_lint(
-            paths, root=tmp_path, rules=get_rules(["R001", "R003"]),
+            paths, root=tmp_path, rules=get_rules(["R001"]),
             changed_scope=changed_scope,
         )
 
     def test_edit_to_callee_reports_caller_drift(self, tmp_path):
-        # Only units.py "changed", but the R003 drift it causes lives in
-        # use.py — the import-graph closure keeps that finding.
-        result = self._lint(tmp_path, {"src/repro/core/units.py"})
-        assert rule_ids(result) == ["R003"]
+        # Only stamps.py "changed", but the pid-derived seed it causes
+        # lives in use.py — the import-graph closure keeps that finding.
+        result = self._lint(tmp_path, {"src/repro/core/stamps.py"})
+        assert rule_ids(result) == ["R001"]
         assert result.findings[0].path == "src/repro/core/use.py"
         # The unrelated R001 hit in other.py is out of scope.
         assert result.lint_scope is not None
@@ -756,7 +615,9 @@ class TestChangedScope:
 
     def test_unscoped_run_reports_everything(self, tmp_path):
         result = self._lint(tmp_path, None)
-        assert sorted(set(rule_ids(result))) == ["R001", "R003"]
+        assert [f.path for f in result.findings] == [
+            "src/repro/core/other.py", "src/repro/core/use.py",
+        ]
 
 
 # ----------------------------------------------------------------------
