@@ -68,7 +68,6 @@ class FunctionInfo:
     lineno: int
     col: int
     node: ast.AST = field(repr=False)
-    params: List[str] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
 
     @property
@@ -195,7 +194,6 @@ def extract_symbols(unit: "ModuleUnit") -> ModuleSymbols:
             lineno=node.lineno,
             col=node.col_offset,
             node=node,
-            params=[a.arg for a in node.args.args if a.arg not in ("self", "cls")],
             calls=_collect_calls(node),
         )
         syms.functions[qualname] = info

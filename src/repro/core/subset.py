@@ -15,12 +15,9 @@ traversal.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError
-from . import grid_eval
 from .two_level import SubsetResult, TwoLevelOptimizer
 
 
@@ -43,44 +40,6 @@ def enumerate_subsets(
         yield from itertools.combinations(range(n_groups), size)
 
 
-def _precomputed_bounds(
-    optimizer: TwoLevelOptimizer,
-    subsets: Sequence[Tuple[int, ...]],
-) -> Dict[Tuple[int, ...], float]:
-    """Admissible bounds for every candidate subset in one array program.
-
-    The traversal's per-subset bounds come from one
-    :func:`repro.core.grid_eval.subset_bounds` call per subset size.
-    The per-group floors and the accumulation order are the scalar
-    ``TwoLevelOptimizer._subset_bound``'s (its parity oracle), so every
-    bound — and therefore every incumbent pruning decision — is
-    bit-identical to deriving it subset by subset.
-    """
-    subsets = list(subsets)
-    if not subsets:
-        return {}
-    n = optimizer.problem.n_groups
-    min_spot = np.empty(n)
-    min_ratio = np.empty(n)
-    for i in range(n):
-        table = optimizer.group_table(i)
-        min_spot[i] = table.e_spot.min()
-        min_ratio[i] = table.e_ratio.min()
-    by_size: Dict[int, list] = {}
-    for subset in subsets:
-        by_size.setdefault(len(subset), []).append(subset)
-    bounds: Dict[Tuple[int, ...], float] = {}
-    for group in by_size.values():
-        cost_b = grid_eval.subset_bounds(
-            min_spot, min_ratio,
-            np.array(group, dtype=np.intp),
-            optimizer.ondemand.full_run_cost,
-        )
-        for subset, value in zip(group, cost_b):
-            bounds[subset] = float(value)
-    return bounds
-
-
 def exhaustive_subset_search(
     optimizer: TwoLevelOptimizer,
     kappa: int,
@@ -88,28 +47,17 @@ def exhaustive_subset_search(
 ) -> Optional[SubsetResult]:
     """Best result over all subsets (``None`` if every subset is infeasible).
 
-    The traversal keeps an incumbent and hands its score to
-    :meth:`TwoLevelOptimizer.optimize_subset` as ``prune_above``: subsets
-    whose admissible lower bound cannot beat the best feasible score seen
-    so far are skipped without evaluating their bid combinations.  The
+    One :meth:`TwoLevelOptimizer.search_size` call per subset size, in
+    size order, carries the incumbent across sizes: subsets whose
+    admissible lower bound cannot beat the best feasible score seen so
+    far are skipped without evaluating their bid combinations.  The
     bound is a true lower bound on the exact score, so the winner (and
     the reported ``combos_evaluated``) is identical with pruning off.
     """
     best: Optional[SubsetResult] = None
-    subsets = list(
-        enumerate_subsets(optimizer.problem.n_groups, kappa, exact_size)
-    )
-    bounds = _precomputed_bounds(optimizer, subsets)
-    for subset in subsets:
-        result = optimizer.optimize_subset(
-            subset,
-            prune_above=None if best is None else best.expectation.cost,
-            bound=bounds[subset],
-        )
-        if result is None:
-            continue
-        if best is None or result.expectation.cost < best.expectation.cost:
-            best = result
+    subsets = enumerate_subsets(optimizer.problem.n_groups, kappa, exact_size)
+    for _size, group in itertools.groupby(subsets, key=len):
+        best = optimizer.search_size(list(group), best)
     return best
 
 
@@ -128,35 +76,20 @@ def greedy_subset_search(
     best: Optional[SubsetResult] = None
     remaining = set(range(n))
     for _ in range(kappa):
-        round_best: Optional[SubsetResult] = None
-        round_pick: Optional[int] = None
-        candidates = [tuple(chosen + [g]) for g in sorted(remaining)]
-        bounds = _precomputed_bounds(optimizer, candidates)
-        for subset in candidates:
-            g = subset[-1]
-            # Prune against the *round* incumbent only: the stop rule
-            # below compares round_best against the overall best, so
-            # round_best itself must come out exactly as without pruning.
-            result = optimizer.optimize_subset(
-                subset,
-                prune_above=(
-                    None if round_best is None else round_best.expectation.cost
-                ),
-                bound=bounds[subset],
-            )
-            if result is None:
-                continue
-            if (
-                round_best is None
-                or result.expectation.cost < round_best.expectation.cost
-            ):
-                round_best, round_pick = result, g
-        if round_pick is None:
+        # Each round's candidates are one subset size searched from no
+        # incumbent: the stop rule below compares the round's best
+        # against the overall best, so the round's best itself must come
+        # out exactly as without pruning.
+        round_best = optimizer.search_size(
+            [tuple(chosen + [g]) for g in sorted(remaining)]
+        )
+        if round_best is None:
             break
         # Keep growing only while it helps; adding a replica costs money,
         # so the curve is not monotone.
         if best is not None and round_best.expectation.cost >= best.expectation.cost:
             break
+        round_pick = round_best.group_indices[-1]
         chosen.append(round_pick)
         remaining.discard(round_pick)
         best = round_best
