@@ -1,6 +1,5 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-* exhaustive vs greedy subset search — solution quality vs search cost,
 * exact marginal-decomposition evaluator vs the paper's naive joint
   enumeration — same numbers, orders-of-magnitude different speed,
 * logarithmic vs uniform bid candidates (covered in test_reduction).
@@ -9,12 +8,13 @@
 import numpy as np
 import pytest
 
-from repro.core.cost_model import GroupOutcome, evaluate, evaluate_enumerated
+from repro.core.cost_model import GroupOutcome, evaluate
 from repro.core.ondemand_select import select_ondemand_relaxed
 from repro.core.optimizer import SompiOptimizer
 from repro.core.two_level import TwoLevelOptimizer
-from repro.core.subset import exhaustive_subset_search, greedy_subset_search
+from repro.core.subset import exhaustive_subset_search
 from repro.experiments.env import LOOSE_DEADLINE_FACTOR
+from tests.oracles.joint_enumeration import evaluate_enumerated
 
 
 @pytest.fixture(scope="module")
@@ -41,30 +41,6 @@ class TestSubsetStrategy:
         print(
             f"\nexhaustive: cost ${best.expectation.cost:.2f}, "
             f"{opt.combos_evaluated} combos"
-        )
-
-    def test_greedy_matches_quality(self, benchmark, env):
-        problem = env.problem("BT", LOOSE_DEADLINE_FACTOR)
-        models = env.failure_models(problem)
-        _, od = select_ondemand_relaxed(
-            problem.ondemand_options, problem.deadline, env.config.slack
-        )
-
-        def run():
-            opt = TwoLevelOptimizer(problem, models, od, env.config)
-            return greedy_subset_search(opt, env.config.kappa), opt
-
-        (greedy, gopt) = benchmark(run)
-        exh_opt = TwoLevelOptimizer(problem, models, od, env.config)
-        exhaustive = exhaustive_subset_search(exh_opt, env.config.kappa)
-        assert greedy is not None
-        # Greedy evaluates far fewer combos at near-equal quality.
-        assert gopt.combos_evaluated < exh_opt.combos_evaluated
-        assert greedy.expectation.cost <= exhaustive.expectation.cost * 1.15
-        print(
-            f"\ngreedy: ${greedy.expectation.cost:.2f} in "
-            f"{gopt.combos_evaluated} combos vs exhaustive "
-            f"${exhaustive.expectation.cost:.2f} in {exh_opt.combos_evaluated}"
         )
 
 

@@ -3,8 +3,8 @@
 Models the parts of Amazon EC2 the paper's system touches: the instance
 catalog with 2014-era prices and capabilities, availability zones, the
 spot-market primitives over a price trace (launch, out-of-bid,
-integrated price), on-demand instances, hourly billing, and an S3-like
-checkpoint store.
+integrated price), on-demand instances, hourly billing, and the
+bandwidths of an S3-like checkpoint store.
 """
 
 from .instance_types import (
@@ -22,7 +22,7 @@ from .spot import (
     integrate_price,
 )
 from .ondemand import OnDemandInstance
-from .s3 import S3Store, S3Object
+from .s3 import S3Store
 
 __all__ = [
     "InstanceType",
@@ -40,5 +40,4 @@ __all__ = [
     "integrate_price",
     "OnDemandInstance",
     "S3Store",
-    "S3Object",
 ]

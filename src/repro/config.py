@@ -9,7 +9,7 @@ explicitly and tests can construct perturbed variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .units import check_fraction, check_positive
@@ -37,12 +37,6 @@ class SompiConfig:
     time_step_hours:
         Discretisation step of failure times ``t_i`` (the paper floors to
         integers; we allow finer grids).
-    subset_strategy:
-        ``"exhaustive"`` traverses all C(K, kappa) subsets as in the paper;
-        ``"greedy"`` grows the subset one group at a time (extension).
-    interval_refine:
-        Whether to refine Young's closed-form checkpoint interval with a
-        local numeric scan.
     checkpointing:
         Ablation switch (the paper's w/o-CK and All-Unable variants,
         Section 5.4.2): when False, every group's checkpoint interval is
@@ -62,16 +56,10 @@ class SompiConfig:
         and loads are fail-open, so results are bit-identical with the
         store warm, cold, off, deleted or corrupted.  The store's size
         cap is the ``REPRO_ARTIFACT_MAX_BYTES`` environment variable.
-    audit:
-        Assert the :mod:`repro.obs` conservation invariants on every
-        result an executor built with this config produces (DESIGN.md
-        §7): ``cost == ledger.total()`` to 1e-9, ledger categories
-        reconciled with group records and the billing policy, monotone
-        banked progress across adaptive windows.  Violations raise
-        :class:`~repro.errors.AuditError`.  Off by default — audit-off
-        outputs are bit-identical to a build without the layer.  The
-        ``REPRO_AUDIT=1`` environment variable (``make audit``) enables
-        auditing process-wide regardless of this flag.
+
+    Audit mode is not a config field: it is switched per process with
+    :func:`repro.obs.set_audit` / :func:`repro.obs.audited` or the
+    ``REPRO_AUDIT=1`` environment variable (DESIGN.md §7).
     """
 
     slack: float = 0.20
@@ -79,12 +67,9 @@ class SompiConfig:
     window_hours: float = 15.0
     bid_levels: int = 7
     time_step_hours: float = 1.0
-    subset_strategy: str = "exhaustive"
-    interval_refine: bool = True
     checkpointing: bool = True
     max_miss_probability: float | None = None
     artifact_dir: str | None = None
-    audit: bool = False
 
     def __post_init__(self) -> None:
         check_fraction("slack", self.slack)
@@ -94,11 +79,6 @@ class SompiConfig:
         if self.bid_levels < 1:
             raise ValueError(f"bid_levels must be >= 1, got {self.bid_levels}")
         check_positive("time_step_hours", self.time_step_hours)
-        if self.subset_strategy not in ("exhaustive", "greedy"):
-            raise ValueError(
-                "subset_strategy must be 'exhaustive' or 'greedy', "
-                f"got {self.subset_strategy!r}"
-            )
         if self.max_miss_probability is not None:
             check_fraction("max_miss_probability", self.max_miss_probability)
 

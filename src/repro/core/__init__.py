@@ -8,8 +8,7 @@ mix of spot and on-demand instances (Sections 3-4 of the paper):
 * :mod:`~repro.core.ratio` — the remaining-work function ``Ratio(t, F)``
   (Formula 7).
 * :mod:`~repro.core.cost_model` — expected monetary cost and execution
-  time (Formulas 2-11), with an exact ``O(sum T_i)`` evaluator and a
-  naive joint-enumeration oracle.
+  time (Formulas 2-11), with an exact ``O(sum T_i)`` evaluator.
 * :mod:`~repro.core.ondemand_select` — fallback on-demand type selection
   with Slack (Section 4.1).
 * :mod:`~repro.core.interval` — the checkpoint-interval function
@@ -22,7 +21,7 @@ mix of spot and on-demand instances (Sections 3-4 of the paper):
 
 from .problem import CircleGroupSpec, OnDemandOption, Problem, Decision, GroupDecision
 from .ratio import ratio, ratio_array
-from .cost_model import GroupOutcome, Expectation, evaluate, evaluate_enumerated
+from .cost_model import GroupOutcome, Expectation, evaluate
 from .ondemand_select import select_ondemand
 from .interval import young_interval, optimal_interval
 from .bid_search import log_bid_candidates
@@ -42,7 +41,6 @@ __all__ = [
     "GroupOutcome",
     "Expectation",
     "evaluate",
-    "evaluate_enumerated",
     "select_ondemand",
     "young_interval",
     "optimal_interval",

@@ -151,7 +151,6 @@ def optimal_interval_grid(
     failure_model,
     ondemand: OnDemandOption,
     step_hours: float = 1.0,
-    refine: bool = True,
 ) -> float:
     """``phi(P)`` with the refinement scan as one array program.
 
@@ -168,8 +167,6 @@ def optimal_interval_grid(
     young = young_interval(
         spec.checkpoint_overhead, failure_model.mttf_hours(bid), spec.exec_time
     )
-    if not refine:
-        return young
     candidates = _interval_candidates(spec, young, step_hours)
     n = max(1, int(np.ceil(spec.exec_time / step_hours)))
     pmf = failure_model.failure_pmf(bid, n)

@@ -10,7 +10,7 @@ models ``F_i = phi_i(P_i)`` and optimizes over bids alone (Theorem 1).
 1. **Young's first-order formula** (the paper's reference [10]):
    ``F* = sqrt(2 * O * MTTF(P))``, with the mean time to failure read off
    the failure model at the given bid.
-2. Optional **numeric refinement**: a scan of candidate intervals that
+2. **Numeric refinement**: a scan of candidate intervals that
    minimises the group's single-group expected cost (its spot bill plus
    the expected on-demand re-run it would cause).  This captures what
    Young's formula ignores — discrete failure-time grids, the cap of
@@ -77,7 +77,6 @@ def optimal_interval(
     failure_model: FailureModel,
     ondemand: OnDemandOption,
     step_hours: float = 1.0,
-    refine: bool = True,
 ) -> float:
     """``phi(P)`` for one group: the interval minimising its single-group
     expected cost at bid ``P``.
@@ -91,8 +90,6 @@ def optimal_interval(
     young = young_interval(
         spec.checkpoint_overhead, failure_model.mttf_hours(bid), spec.exec_time
     )
-    if not refine:
-        return young
     candidates = _interval_candidates(spec, young, step_hours)
     n = max(1, int(np.ceil(spec.exec_time / step_hours)))
     pmf = failure_model.failure_pmf(bid, n)

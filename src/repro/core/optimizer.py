@@ -23,7 +23,7 @@ from ..market.history import MarketKey, SpotPriceHistory
 from .cost_model import Expectation
 from .ondemand_select import select_ondemand_relaxed
 from .problem import Decision, OnDemandOption, Problem
-from .subset import exhaustive_subset_search, greedy_subset_search
+from .subset import exhaustive_subset_search
 from .two_level import TwoLevelOptimizer
 
 
@@ -137,10 +137,7 @@ class SompiOptimizer:
             self.problem, self.failure_models, ondemand, self.config
         )
         with metrics.timer("plan.subset_search"):
-            if self.config.subset_strategy == "greedy":
-                result = greedy_subset_search(optimizer, self.config.kappa)
-            else:
-                result = exhaustive_subset_search(optimizer, self.config.kappa)
+            result = exhaustive_subset_search(optimizer, self.config.kappa)
         optimizer.save_search_sidecar()
         metrics.inc("plan.combos_evaluated", optimizer.combos_evaluated)
 

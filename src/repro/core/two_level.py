@@ -351,7 +351,6 @@ class TwoLevelOptimizer:
             self.ondemand.full_run_cost,
             cfg.bid_levels,
             cfg.time_step_hours,
-            cfg.interval_refine,
             cfg.checkpointing,
         )
 
@@ -378,12 +377,7 @@ class TwoLevelOptimizer:
                 interval = spec.exec_time  # w/o-CK ablation: no checkpoints
             else:
                 interval = grid_eval.optimal_interval_grid(
-                    spec,
-                    float(bid),
-                    fm,
-                    self.ondemand,
-                    step_hours=step,
-                    refine=self.config.interval_refine,
+                    spec, float(bid), fm, self.ondemand, step_hours=step
                 )
             outcome = GroupOutcome.build(spec, float(bid), interval, fm, step)
             intervals[b] = interval

@@ -420,6 +420,6 @@ class AdaptiveExecutor:
             deadline=self.problem.deadline,
             ledger=ledger,
         )
-        if self.config.audit or obs.audit_enabled():
+        if obs.audit_enabled():
             obs.audit_adaptive_result(result)
         return result

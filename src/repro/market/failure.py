@@ -12,8 +12,8 @@ Given a spot-price history and a bid price ``P``, the paper defines
 The paper estimates ``f`` by Monte-Carlo: pick ``G`` random starting
 points and count first-exceedance times.  We compute the same quantity
 *exactly* over **every** starting step via a vectorised
-next-exceedance scan (the ``G -> infinity`` limit), and keep a sampled
-estimator for the model-accuracy study of Section 5.4.1.
+next-exceedance scan (the ``G -> infinity`` limit); the paper's sampled
+estimator is the test oracle ``tests/oracles/failure_sampling.py``.
 
 Discretisation follows the paper: failure times are floored to integer
 multiples of ``step_hours`` (1 hour by default).  Within each step we use
@@ -197,37 +197,6 @@ class FailureModel:
         pmf.setflags(write=False)
         self._pmf_cache[key] = pmf
         return pmf
-
-    def failure_pmf_sampled(
-        self,
-        bid: float,
-        horizon_steps: int,
-        n_samples: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Monte-Carlo estimate of :meth:`failure_pmf` (the paper's ``G``
-        random starting points), for the accuracy study of Section 5.4.1."""
-        if n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
-        dist = self.steps_to_failure(bid)
-        launchable = np.flatnonzero(dist >= 0)
-        pmf = np.zeros(horizon_steps + 1)
-        if launchable.size == 0:
-            pmf[0] = 1.0
-            return pmf
-        picks = rng.choice(launchable, size=n_samples, replace=True)
-        d = np.minimum(dist[picks], horizon_steps)
-        counts = np.bincount(d, minlength=horizon_steps + 1)
-        return counts / counts.sum()
-
-    def survival_curve(self, bid: float, horizon_steps: int) -> np.ndarray:
-        """``S[k] = P(failure time >= k)`` for ``k = 0..horizon``."""
-        pmf = self.failure_pmf(bid, horizon_steps)
-        # survival[k] = P(t >= k) = 1 - sum_{j<k} pmf[j]
-        surv = np.empty(horizon_steps + 1)
-        surv[0] = 1.0
-        np.subtract(1.0, np.cumsum(pmf[:-1]), out=surv[1:])
-        return np.clip(surv, 0.0, 1.0)
 
     def mttf_hours(self, bid: float) -> float:
         """Mean time to an out-of-bid failure, in hours.

@@ -8,18 +8,16 @@ seconds and inverse bandwidth ``beta`` seconds/byte:
 ================  ==========================  =============================
 collective        algorithm                   cost
 ================  ==========================  =============================
-barrier           dissemination               ``ceil(log2 p) * alpha``
-bcast             binomial tree               ``ceil(log2 p) (alpha+n beta)``
-reduce            binomial tree               same as bcast
 allreduce         Rabenseifner                ``2 log2 p alpha + 2 n beta (p-1)/p``
-allgather         ring                        ``(p-1)(alpha + n/p beta)``
 alltoall          pairwise exchange           ``(p-1)(alpha + n/p beta)``
-scatter/gather    binomial tree               ``log2 p alpha + n beta (p-1)/p``
 ================  ==========================  =============================
 
-For ``allgather``/``alltoall``, ``n`` is the *total* per-process buffer
-(each peer receives ``n/p``).  These formulas are the collective term
-of the analytic timing estimator.
+For ``alltoall``, ``n`` is the *total* per-process buffer (each peer
+receives ``n/p``).  These two are the collectives the application
+profiles issue, and the collective term of the analytic timing
+estimator.  The formulas of the other collectives the oracle MPI runtime
+executes (barrier, bcast, reduce, allgather, scatter/gather) live with
+it in ``tests/oracles/mpi_runtime/costs.py``.
 """
 
 from __future__ import annotations
@@ -34,28 +32,10 @@ def _log2ceil(p: int) -> int:
     return ceil(log2(p)) if p > 1 else 0
 
 
-def _barrier(p: int, n: float, alpha: float, beta: float) -> float:
-    return _log2ceil(p) * alpha
-
-
-def _bcast(p: int, n: float, alpha: float, beta: float) -> float:
-    return _log2ceil(p) * (alpha + n * beta)
-
-
-def _reduce(p: int, n: float, alpha: float, beta: float) -> float:
-    return _log2ceil(p) * (alpha + n * beta)
-
-
 def _allreduce(p: int, n: float, alpha: float, beta: float) -> float:
     if p == 1:
         return 0.0
     return 2.0 * _log2ceil(p) * alpha + 2.0 * n * beta * (p - 1) / p
-
-
-def _allgather(p: int, n: float, alpha: float, beta: float) -> float:
-    if p == 1:
-        return 0.0
-    return (p - 1) * (alpha + (n / p) * beta)
 
 
 def _alltoall(p: int, n: float, alpha: float, beta: float) -> float:
@@ -64,21 +44,9 @@ def _alltoall(p: int, n: float, alpha: float, beta: float) -> float:
     return (p - 1) * (alpha + (n / p) * beta)
 
 
-def _scatter(p: int, n: float, alpha: float, beta: float) -> float:
-    if p == 1:
-        return 0.0
-    return _log2ceil(p) * alpha + n * beta * (p - 1) / p
-
-
 COLLECTIVE_ALGORITHMS: Dict[str, Callable[[int, float, float, float], float]] = {
-    "barrier": _barrier,
-    "bcast": _bcast,
-    "reduce": _reduce,
     "allreduce": _allreduce,
-    "allgather": _allgather,
     "alltoall": _alltoall,
-    "scatter": _scatter,
-    "gather": _scatter,  # symmetric cost
 }
 
 
@@ -88,7 +56,7 @@ def collective_time(
     """Seconds for one collective of type ``name``.
 
     ``nbytes`` is the per-process buffer size (total buffer for
-    allgather/alltoall, message size for bcast/reduce/allreduce).
+    alltoall, message size for allreduce).
     """
     if p < 1:
         raise ConfigurationError(f"p must be >= 1, got {p}")

@@ -5,7 +5,9 @@ per core.  Messages between processes on the *same* instance move through
 shared memory; messages between instances share the instance NIC.  The
 model exposes LogGP-style parameters — latency ``alpha`` (seconds) and
 inverse bandwidth ``beta`` (seconds/byte) — for both paths, which is all
-the collective cost formulas and the point-to-point simulator need.
+the collective cost formulas and the timing estimator need.  Pricing one
+message between two given ranks is the oracle MPI runtime's business
+(``tests/oracles/mpi_runtime/costs.py``).
 
 This is where the paper's instance-type trade-offs become mechanical:
 cc2.8xlarge packs 32 processes per 10 GbE NIC but converts 3/4 of a
@@ -57,15 +59,6 @@ class ClusterShape:
     def procs_per_instance(self) -> int:
         return min(self.itype.vcpus, self.n_processes)
 
-    def node_of(self, rank: int) -> int:
-        """Instance index hosting ``rank`` (block placement, as OpenMPI
-        fills machines in order)."""
-        if not 0 <= rank < self.n_processes:
-            raise ConfigurationError(
-                f"rank {rank} outside [0, {self.n_processes})"
-            )
-        return rank // self.itype.vcpus
-
     @property
     def inter_node_fraction(self) -> float:
         """Probability a uniformly random peer lives on another instance."""
@@ -113,16 +106,6 @@ class NetworkModel:
     @property
     def intra_beta(self) -> float:
         return 1.0 / INTRA_BANDWIDTH_BPS
-
-    def p2p_seconds(self, src: int, dst: int, nbytes: float) -> float:
-        """Transfer time of one point-to-point message."""
-        if nbytes < 0:
-            raise ConfigurationError(f"nbytes must be >= 0, got {nbytes}")
-        if src == dst:
-            return 0.0
-        if self.shape.node_of(src) == self.shape.node_of(dst):
-            return self.intra_alpha + nbytes * self.intra_beta
-        return self.inter_alpha + nbytes * self.inter_beta
 
     def effective_alpha(self) -> float:
         """Average message latency for a random peer."""

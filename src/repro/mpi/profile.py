@@ -33,11 +33,6 @@ class CollectiveCounts:
         check_nonnegative("total_bytes", self.total_bytes)
         check_nonnegative("count", self.count)
 
-    def __add__(self, other: "CollectiveCounts") -> "CollectiveCounts":
-        return CollectiveCounts(
-            self.total_bytes + other.total_bytes, self.count + other.count
-        )
-
     def scaled(self, factor: float) -> "CollectiveCounts":
         return CollectiveCounts(self.total_bytes * factor, self.count * factor)
 
@@ -126,7 +121,11 @@ class ApplicationProfile:
             )
         colls: Dict[str, CollectiveCounts] = dict(self.collectives)
         for k, v in other.collectives.items():
-            colls[k] = colls[k] + v if k in colls else v
+            if k in colls:
+                v = CollectiveCounts(
+                    colls[k].total_bytes + v.total_bytes, colls[k].count + v.count
+                )
+            colls[k] = v
         return replace(
             self,
             name=f"{self.name}+{other.name}",

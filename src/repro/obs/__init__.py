@@ -12,10 +12,10 @@ Three cooperating pieces (each in its own module):
 * **Audit mode** (:mod:`.audit`) — conservation invariants asserted on
   every result: ``cost == ledger.total()`` to 1e-9, ledger categories
   reconciled against group records and the billing policy, monotone
-  banked progress across adaptive windows.  Enabled per-process with
-  :func:`set_audit` / :func:`audited`, per-run with ``config.audit``
-  (:class:`~repro.config.SompiConfig`), or globally with the
-  ``REPRO_AUDIT=1`` environment variable (``make audit``).
+  banked progress across adaptive windows.  Switched per process, never
+  per config: with :func:`set_audit` / :func:`audited`, or with the
+  ``REPRO_AUDIT=1`` environment variable (``make audit``), which also
+  reaches worker processes.
 
 With audit off and no trace installed the layer costs one attribute
 check per replay, and outputs are bit-identical to the unobserved code

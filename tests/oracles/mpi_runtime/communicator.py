@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import MPIRuntimeError
-from repro.mpi.collectives import collective_time
 from repro.mpi.network import ClusterShape, NetworkModel
 from repro.mpi.profile import ApplicationProfile, CollectiveCounts
 
+from .costs import collective_time, p2p_seconds
 from .engine import Engine, Event, Timeout
 
 
@@ -123,7 +123,7 @@ class SimCommunicator:
     ) -> Generator[Any, Any, None]:
         if not 0 <= dst < self.size:
             raise MPIRuntimeError(f"send to invalid rank {dst}")
-        transfer = self.network.p2p_seconds(src, dst, nbytes)
+        transfer = p2p_seconds(self.network, src, dst, nbytes)
         deliver_at = self.engine.now + transfer
         self.p2p_bytes += nbytes
         self.p2p_messages += 1
@@ -142,7 +142,7 @@ class SimCommunicator:
         request completes when the transfer finishes."""
         if not 0 <= dst < self.size:
             raise MPIRuntimeError(f"isend to invalid rank {dst}")
-        transfer = self.network.p2p_seconds(src, dst, nbytes)
+        transfer = p2p_seconds(self.network, src, dst, nbytes)
         deliver_at = self.engine.now + transfer
         self.p2p_bytes += nbytes
         self.p2p_messages += 1
@@ -232,7 +232,9 @@ class SimCommunicator:
             )
             result = self._combine(state, op, root)
             counts = self.coll_counts.get(name, CollectiveCounts(0.0, 0.0))
-            self.coll_counts[name] = counts + CollectiveCounts(state.nbytes, 1.0)
+            self.coll_counts[name] = CollectiveCounts(
+                counts.total_bytes + state.nbytes, counts.count + 1.0
+            )
             del self._coll_states[cid]
             release = state.release
             self.engine.schedule(duration, lambda: release.succeed(result))

@@ -38,12 +38,12 @@ class SubsetWalk:
         #: Subsets skipped by the bound, over all walks.
         self.pruned = 0
 
-    def exhaustive(self, opt, kappa: int, exact_size: bool = False):
+    def exhaustive(self, opt, kappa: int):
         """``(best SubsetResult or None, combos covered)``."""
         best = None
         combos = 0
         position = {}
-        for subset in enumerate_subsets(opt.problem.n_groups, kappa, exact_size):
+        for subset in enumerate_subsets(opt.problem.n_groups, kappa):
             size = len(subset)
             pos = position[size] = position.get(size, -1) + 1
             prune_above = None if best is None else best.expectation.cost

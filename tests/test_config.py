@@ -39,10 +39,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             SompiConfig(bid_levels=0)
 
-    def test_bad_strategy(self):
-        with pytest.raises(ValueError):
-            SompiConfig(subset_strategy="random")
-
     def test_bad_time_step(self):
         with pytest.raises(Exception):
             SompiConfig(time_step_hours=-1.0)

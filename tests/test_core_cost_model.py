@@ -12,13 +12,13 @@ from repro.core.cost_model import (
     Expectation,
     GroupOutcome,
     evaluate,
-    evaluate_enumerated,
     expected_max,
     expected_min,
 )
 from repro.core.problem import OnDemandOption
 from repro.errors import ConfigurationError
 from tests.conftest import make_group
+from tests.oracles.joint_enumeration import evaluate_enumerated
 
 
 def outcome_from(spec, pmf, bid=0.05, interval=3.0, price=0.04, step=1.0):

@@ -83,19 +83,11 @@ class TestOptimalInterval:
                 np.dot(o.pmf, o.ratios)
             )
 
-        refined = optimal_interval(spec, bid, risky_model, ondemand, refine=True)
+        refined = optimal_interval(spec, bid, risky_model, ondemand)
         young = young_interval(
             spec.checkpoint_overhead, risky_model.mttf_hours(bid), spec.exec_time
         )
         assert group_cost(refined) <= group_cost(young) + 1e-9
-
-    def test_no_refine_returns_young(self, risky_model, ondemand):
-        spec = make_group(exec_time=10.0, overhead=0.05)
-        f = optimal_interval(spec, 0.1, risky_model, ondemand, refine=False)
-        y = young_interval(
-            spec.checkpoint_overhead, risky_model.mttf_hours(0.1), spec.exec_time
-        )
-        assert f == pytest.approx(y)
 
 
 class TestBidCandidates:

@@ -33,14 +33,6 @@ class TestPlanning:
             problem = small_env.problem("BT", deadline_hours=0.5)
             small_env.sompi_plan(problem)
 
-    def test_greedy_strategy_works(self, small_env):
-        problem = small_env.problem("BT", LOOSE_DEADLINE_FACTOR)
-        cfg = small_env.config.with_(subset_strategy="greedy")
-        plan = small_env.sompi_plan(problem, cfg)
-        assert plan.expectation.time <= problem.deadline + 1e-9
-        exhaustive = small_env.sompi_plan(problem)
-        assert plan.expectation.cost <= exhaustive.expectation.cost * 1.25
-
     def test_describe_mentions_cost_and_deadline(self, small_env):
         problem = small_env.problem("BT", LOOSE_DEADLINE_FACTOR)
         plan = small_env.sompi_plan(problem)

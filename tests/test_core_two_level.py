@@ -10,11 +10,7 @@ from repro.config import SompiConfig
 from repro.core.cost_model import GroupOutcome, evaluate
 from repro.core.ondemand_select import select_ondemand
 from repro.core.problem import OnDemandOption, Problem
-from repro.core.subset import (
-    enumerate_subsets,
-    exhaustive_subset_search,
-    greedy_subset_search,
-)
+from repro.core.subset import enumerate_subsets, exhaustive_subset_search
 from repro.core.two_level import TwoLevelOptimizer, _combo_batches
 from repro.errors import ConfigurationError
 from repro.market.failure import FailureModel
@@ -122,13 +118,8 @@ class TestSubsetEnumeration:
         assert (0,) in subsets and (2, 3) in subsets
         assert len(subsets) == 4 + 6
 
-    def test_exact_size(self):
-        subsets = list(enumerate_subsets(4, 2, exact_size=True))
-        assert all(len(s) == 2 for s in subsets)
-        assert len(subsets) == 6
-
     def test_kappa_clamped(self):
-        assert list(enumerate_subsets(2, 5, exact_size=True)) == [(0, 1)]
+        assert list(enumerate_subsets(2, 5)) == [(0,), (1,), (0, 1)]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -145,14 +136,6 @@ class TestSearchStrategies:
             res = opt.optimize_subset(subset)
             if res is not None:
                 assert best.expectation.cost <= res.expectation.cost + 1e-9
-
-    def test_greedy_close_to_exhaustive(self, setup):
-        problem, models, od, cfg = setup
-        opt = TwoLevelOptimizer(problem, models, od, cfg)
-        exh = exhaustive_subset_search(opt, kappa=2)
-        greedy = greedy_subset_search(opt, kappa=2)
-        assert greedy is not None
-        assert greedy.expectation.cost <= exh.expectation.cost * 1.25
 
     def test_to_decision_roundtrip(self, setup):
         problem, models, od, cfg = setup

@@ -225,11 +225,14 @@ def test_src_docstring_units_agree_with_suffixes():
 
 def test_src_walk_sees_documented_units():
     """Guards the check above against passing vacuously: ``src/`` does
-    document units for suffixed names, and the walk must see them."""
-    confident = [
-        subject
+    document units for suffixed names, and the walk must see them —
+    ``FailureModel.mttf_hours`` ("Mean time to an out-of-bid failure, in
+    hours.") among them."""
+    confident = {
+        (subject, doc_unit)
         for _, tree in _src_trees()
         for _, subject, _, doc_unit in declared_units(tree)
         if doc_unit is not None
-    ]
+    }
     assert confident, "no suffixed name under src/ documents its unit"
+    assert ("mttf_hours()", HOURS) in confident, sorted(confident)

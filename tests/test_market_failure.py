@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError, TraceError
 from repro.market.failure import FailureModel
 from repro.market.trace import SpotPriceTrace
+from tests.oracles.failure_sampling import failure_pmf_sampled, survival_curve
 
 
 @pytest.fixture
@@ -124,13 +125,13 @@ class TestFailurePmf:
 
 class TestSurvivalAndMttf:
     def test_survival_starts_at_one_and_decreases(self, fm):
-        surv = fm.survival_curve(0.10, 12)
+        surv = survival_curve(fm, 0.10, 12)
         assert surv[0] == 1.0
         assert np.all(np.diff(surv) <= 1e-12)
 
     def test_survival_matches_pmf_tail(self, fm):
         pmf = fm.failure_pmf(0.10, 12)
-        surv = fm.survival_curve(0.10, 12)
+        surv = survival_curve(fm, 0.10, 12)
         assert surv[-1] == pytest.approx(pmf[-1])
 
     def test_mttf_infinite_when_never_failing(self, fm):
@@ -147,12 +148,12 @@ class TestSampledPmf:
     def test_sampled_approximates_exact(self, fm):
         rng = np.random.default_rng(0)
         exact = fm.failure_pmf(0.10, 12)
-        sampled = fm.failure_pmf_sampled(0.10, 12, 200_000, rng)
+        sampled = failure_pmf_sampled(fm, 0.10, 12, 200_000, rng)
         assert np.abs(exact - sampled).max() < 0.01
 
     def test_sampled_validates_n(self, fm):
         with pytest.raises(ConfigurationError):
-            fm.failure_pmf_sampled(0.1, 5, 0, np.random.default_rng(0))
+            failure_pmf_sampled(fm, 0.1, 5, 0, np.random.default_rng(0))
 
 
 class TestSubhourSpikes:

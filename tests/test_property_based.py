@@ -14,6 +14,7 @@ from repro.core.cost_model import expected_max, expected_min
 from repro.core.ratio import ratio, ratio_array
 from repro.market.failure import FailureModel
 from repro.market.trace import SpotPriceTrace
+from tests.oracles.failure_sampling import survival_curve
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -195,7 +196,7 @@ def test_survival_is_monotone(trace, bid):
     if trace.duration < 1.0:
         return
     fm = FailureModel(trace, step_hours=1.0)
-    surv = fm.survival_curve(bid, 10)
+    surv = survival_curve(fm, bid, 10)
     assert surv[0] == 1.0
     assert np.all(np.diff(surv) <= 1e-9)
 

@@ -19,7 +19,7 @@ import pytest
 import repro.core.two_level as two_level
 from repro.config import SompiConfig
 from repro.core.ondemand_select import select_ondemand_relaxed
-from repro.core.subset import exhaustive_subset_search, greedy_subset_search
+from repro.core.subset import exhaustive_subset_search
 from repro.core.two_level import (
     SubsetResult,
     TwoLevelOptimizer,
@@ -182,43 +182,3 @@ def test_tied_candidates_match_the_per_subset_walk(
     assert_same_result(result, ref)
     assert opt.combos_evaluated == ref_combos
     assert exacts == exact_log
-
-
-def test_greedy_rounds_are_one_size_each(paper_env, tmp_path):
-    """Greedy search runs each round as one ``search_size`` from no
-    incumbent; its winner equals the parent loop's round-by-round walk."""
-    cfg = paper_env.config.with_(artifact_dir=str(tmp_path))
-    problem = paper_env.problem("SP", deadline_factor=1.2)
-    models = paper_env.failure_models(problem)
-    _, ondemand = select_ondemand_relaxed(
-        problem.ondemand_options, problem.deadline, cfg.slack
-    )
-    clear_shared_caches()
-    greedy = greedy_subset_search(
-        TwoLevelOptimizer(problem, models, ondemand, cfg), kappa=3
-    )
-    ref_opt = TwoLevelOptimizer(problem, models, ondemand, cfg)
-    walk = SubsetWalk()
-    chosen, best = [], None
-    for _ in range(3):
-        round_best = None
-        for g in sorted(set(range(problem.n_groups)) - set(chosen)):
-            result, _total = walk.visit(
-                ref_opt, tuple(chosen + [g]),
-                None if round_best is None else round_best.expectation.cost,
-            )
-            if result is not None and (
-                round_best is None
-                or result.expectation.cost < round_best.expectation.cost
-            ):
-                round_best = result
-        if round_best is None or (
-            best is not None
-            and round_best.expectation.cost >= best.expectation.cost
-        ):
-            break
-        chosen.append(round_best.group_indices[-1])
-        best = round_best
-    clear_shared_caches()
-    assert best is not None
-    assert_same_result(greedy, best)
