@@ -4,14 +4,11 @@ Lints the real ``src/`` tree twice against a throwaway cache file: the
 cold run reads, hashes and parses every module, builds the project
 graph and iterates the summary fixpoint; the warm run must hit the
 fully-warm gate (nothing changed → every finding replays, no parsing).
-A third, scoped run exercises the ``--changed`` path against the warm
-cache: the tree is re-analysed with a one-file scope, replaying every
-unchanged module and every unchanged summary SCC.  The suite asserts
-the runs agree finding-for-finding and that the warm path really
-replayed every file, then reports the throughputs.  The primary metric
-is the warm time — the one ``make lint`` pays on every developer
-invocation; ``summary_fixpoint_s`` isolates the interprocedural
-fixpoint's share of the cold run.
+The suite asserts the runs agree finding-for-finding and that the warm
+path really replayed every file, then reports the throughputs.  The
+primary metric is the warm time — the one ``make lint`` pays on every
+developer invocation; ``summary_fixpoint_s`` isolates the
+interprocedural fixpoint's share of the cold run.
 """
 
 from __future__ import annotations
@@ -46,20 +43,8 @@ def run(quick: bool = False) -> dict:
             tw = time.perf_counter()
             warm = run_lint([target], root=root, rules=rules, cache_path=cache)
             warm_times.append(time.perf_counter() - tw)
-        t2 = time.perf_counter()
-        # Warm --changed: whole tree re-analysed, one file in scope,
-        # modules and summary SCCs replaying from the warm cache.
-        scope_rel = sorted(
-            p.resolve().relative_to(root).as_posix()
-            for p in target.rglob("*.py")
-        )[:1]
-        changed = run_lint(
-            [target], root=root, rules=rules, cache_path=cache,
-            cache_write=False, changed_scope=set(scope_rel),
-        )
-        t3 = time.perf_counter()
 
-    cold_s, warm_s, changed_warm_s = t1 - t0, min(warm_times), t3 - t2
+    cold_s, warm_s = t1 - t0, min(warm_times)
     assert cold.cache_mode == "cold", f"expected cold run, got {cold.cache_mode}"
     assert warm.cache_mode == "full", (
         f"warm run fell off the replay path ({warm.cache_mode}); "
@@ -69,15 +54,7 @@ def run(quick: bool = False) -> dict:
     assert [f.to_json() for f in cold.findings] == [
         f.to_json() for f in warm.findings
     ], "cache replay changed the findings"
-    scoped = {f.path for f in changed.findings}
-    assert scoped <= (changed.lint_scope or set()), (
-        "--changed reported findings outside its scope"
-    )
     summary_stats = cold.summary_stats or {}
-    changed_stats = changed.summary_stats or {}
-    assert changed_stats.get("recomputed", 0) <= summary_stats.get(
-        "recomputed", 0
-    ), "warm --changed re-summarized more SCCs than the cold run built"
 
     files = cold.files_checked
     return {
@@ -88,7 +65,6 @@ def run(quick: bool = False) -> dict:
             "engine": {
                 "cold_s": round(cold_s, 4),
                 "warm_s": round(warm_s, 4),
-                "changed_warm_s": round(changed_warm_s, 4),
                 "cold_files_per_s": round(files / cold_s, 1),
                 "warm_files_per_s": round(files / warm_s, 1),
                 "speedup": round(cold_s / warm_s, 2) if warm_s > 0 else None,
@@ -98,8 +74,6 @@ def run(quick: bool = False) -> dict:
                 "summary_fixpoint_s": summary_stats.get("fixpoint_s"),
                 "sccs": summary_stats.get("sccs"),
                 "functions": summary_stats.get("functions"),
-                "changed_replayed": changed_stats.get("replayed"),
-                "changed_recomputed": changed_stats.get("recomputed"),
             },
         },
         "primary": {"name": "engine.warm_s", "seconds": warm_s},

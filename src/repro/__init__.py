@@ -39,7 +39,6 @@ from .core import (
     SompiPlan,
 )
 from .errors import (
-    CheckpointError,
     ConfigurationError,
     InfeasibleError,
     MPIRuntimeError,
@@ -66,6 +65,5 @@ __all__ = [
     "InfeasibleError",
     "SimulationError",
     "MPIRuntimeError",
-    "CheckpointError",
     "__version__",
 ]

@@ -1,21 +1,18 @@
 """reprolint — AST-based invariant linter for the reproduction.
 
 A self-contained static-analysis pass (stdlib ``ast`` only, no imports
-of the simulation code) that rejects whole classes of the bugs the
-runtime suites catch late or not at all: randomness and clock reads
-that do not descend from the root seed, unregistered memo caches, bare
-float equality, swallowed exceptions, unaudited cost ledgers,
-worker-side global writes, order-sensitive float reductions and
-fail-open paths that leak IO errors.  DESIGN.md §9 documents the rule
-set and workflow.
+of the simulation code) that rejects classes of bugs the tier-1 suite
+misses: unseeded randomness and clock reads in seeded code,
+unregistered memo caches, bare float equality, swallowed exceptions,
+unaudited cost ledgers, float reductions over sets, and fail-open
+paths that leak IO errors.  DESIGN.md §9 documents the rule set, the
+mutation each rule catches, and the workflow.
 
-The engine is whole-program: every lint builds a
-:class:`~.project.ProjectGraph` (import graph, symbol tables, call
-graph) when any selected rule needs it, interprocedural summaries
-(:mod:`.summaries`) carry entropy, seed-sink and exception facts
-across calls, and a content-hash cache (:mod:`.cache`) replays
-findings for unchanged files, including a fully-warm path that parses
-nothing.
+Every lint builds a :class:`~.project.ProjectGraph` (import graph,
+symbol tables, call graph) when any selected rule needs it;
+interprocedural summaries (:mod:`.summaries`) carry exception facts
+across calls; and a content-hash cache (:mod:`.cache`) replays findings
+for unchanged files, including a fully-warm path that parses nothing.
 
 Run it as ``python -m repro.analysis [paths]`` or ``make lint``.
 Programmatic entry points:

@@ -3,29 +3,17 @@
 Exit codes: 0 clean (modulo baseline), 1 findings (error severity, or
 anything under ``--strict``), 2 usage error.
 
-Beyond plain linting the CLI drives the v2 engine features:
+Beyond plain linting the CLI drives two engine features:
 
 * ``--cache [PATH]`` — content-hash incremental cache; a warm run with
   nothing changed replays every finding without parsing a file.
 * ``--sarif PATH`` / ``--format sarif`` — SARIF 2.1.0 output for CI
   inline annotations.
-* ``--changed [BASE]`` — git-aware edit-loop mode: report findings for
-  the files that differ from ``BASE`` (default ``HEAD``) plus untracked
-  files.  The *whole* tree is still analysed — the project graph and
-  the summary fixpoint see every module, so interprocedural rules stay
-  sound — and the scope only filters reporting: file-scope findings in
-  the changed files, project-scope findings in the changed files plus
-  every module connected to them through the import graph (an edit to a
-  callee re-reports the drift it causes in its callers).  The warm
-  cache replays unchanged work (including per-SCC summaries), but the
-  run never writes the cache — a scoped result set must not overwrite
-  the whole-tree snapshot.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
@@ -79,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="BASE",
-        help="report findings only for files changed vs. the git ref "
-        "BASE (default HEAD) plus untracked files and, for project "
-        "rules, their import-graph neighbourhood; the whole tree is "
-        "still analysed, and the warm cache is read but never written",
-    )
-    parser.add_argument(
         "--strict", action="store_true",
         help="warnings and stale baseline entries also fail the run",
     )
@@ -135,35 +116,6 @@ def main(argv: list[str] | None = None) -> int:
             args.cache if args.cache.is_absolute() else root / args.cache
         )
 
-    cache_write = True
-    changed_scope = None
-    if args.changed is not None:
-        try:
-            changed = _changed_files(root, args.changed)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            print(f"reprolint: --changed needs git: {exc}", file=sys.stderr)
-            return 2
-        # The whole tree is still analysed (graph + summaries need every
-        # module); the scope only filters what gets *reported*.  The
-        # run's partial result set must never be persisted as if it
-        # were a whole-tree snapshot — replay from the cache, don't
-        # write it.
-        in_scope = _restrict_to(changed, paths, root)
-        changed_scope = set()
-        for p in in_scope:
-            try:
-                changed_scope.add(p.resolve().relative_to(root).as_posix())
-            except ValueError:
-                changed_scope.add(p.as_posix())
-        if not changed_scope:
-            print(
-                f"reprolint: no python files changed vs. {args.changed}; "
-                "nothing to report",
-                file=out,
-            )
-            return 0
-        cache_write = False
-
     try:
         result = run_lint(
             paths,
@@ -171,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             rules=rules,
             baseline=baseline,
             cache_path=cache_path,
-            cache_write=cache_write,
-            changed_scope=changed_scope,
         )
     except FileNotFoundError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
@@ -192,50 +142,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         report_text(result, out, verbose=args.verbose)
     return result.exit_code(strict=args.strict)
-
-
-def _changed_files(root: Path, base: str) -> list[Path]:
-    """Absolute paths of ``*.py`` files changed vs. ``base`` + untracked.
-
-    ``--diff-filter=ACMR`` keeps added/copied/modified/renamed files and
-    drops deletions (nothing left to lint); untracked files come from
-    ``ls-files --others`` so a brand-new module is linted before its
-    first ``git add``.  Paths come back relative to the repo toplevel,
-    which may sit above ``root``.
-    """
-
-    def git(*argv: str) -> list[str]:
-        proc = subprocess.run(
-            ["git", "-C", str(root), *argv],
-            capture_output=True, text=True, check=True,
-        )
-        return [line for line in proc.stdout.splitlines() if line.strip()]
-
-    top = Path(git("rev-parse", "--show-toplevel")[0])
-    rels = set(
-        git("diff", "--name-only", "--diff-filter=ACMR", base, "--", "*.py")
-    )
-    rels |= set(
-        git("ls-files", "--others", "--exclude-standard", "--", "*.py")
-    )
-    return sorted(top / rel for rel in rels if (top / rel).is_file())
-
-
-def _restrict_to(
-    changed: list[Path], requested: list[Path], root: Path
-) -> list[Path]:
-    """Changed files that fall under one of the requested lint paths."""
-    bases = [
-        (p if p.is_absolute() else root / p).resolve() for p in requested
-    ]
-    out = []
-    for path in changed:
-        resolved = path.resolve()
-        for base in bases:
-            if resolved == base or base in resolved.parents:
-                out.append(path)
-                break
-    return out
 
 
 if __name__ == "__main__":

@@ -29,11 +29,10 @@ from .findings import Finding
 CACHE_VERSION = 5
 DEFAULT_CACHE_NAME = ".reprolint_cache.json"
 
-#: Analysis phases folded into the engine fingerprint.  Adding a phase
-#: (v3 added the escape analysis, v4 the interprocedural summary
-#: fixpoint) bumps the fingerprint even if no package source happened
-#: to change on disk.
-ANALYSIS_PHASES = ("symbols", "graph", "escape", "dataflow", "summaries")
+#: Analysis phases folded into the engine fingerprint, so adding or
+#: dropping a phase bumps the fingerprint even if no package source
+#: happened to change on disk.
+ANALYSIS_PHASES = ("symbols", "graph", "summaries")
 
 _fingerprint_memo: Dict[tuple, str] = {}
 

@@ -92,7 +92,6 @@ class LintContext:
 
     root: Path
     project: Optional["object"] = None  # ProjectGraph when a rule needs it
-    escape: Optional["object"] = None  # EscapeAnalysis when a rule needs it
     summaries: Optional["object"] = None  # SummaryIndex when a rule needs it
     units: Dict[str, ModuleUnit] = field(default_factory=dict)  # by relpath
 
@@ -107,9 +106,6 @@ class LintResult:
     files_checked: int = 0
     cache_mode: str = "off"  # "off" | "cold" | "partial" | "full"
     files_replayed: int = 0  # files whose findings came from the cache
-    #: In ``--changed`` runs: the relpaths whose findings were kept
-    #: (changed files plus their import-graph closure); None otherwise.
-    lint_scope: Optional[set] = None
     #: Fixpoint statistics of the summary build (sccs, replayed,
     #: recomputed, fixpoint_s) when a selected rule needed summaries.
     summary_stats: Optional[dict] = None
@@ -195,24 +191,10 @@ def run_lint(
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Baseline] = None,
     cache_path: Optional[Path] = None,
-    cache_write: bool = True,
-    changed_scope: Optional[Iterable[str]] = None,
 ) -> LintResult:
     """Lint ``paths`` and reconcile findings against ``baseline``.
 
     ``cache_path`` attaches the incremental cache (:mod:`.cache`).
-    ``cache_write=False`` replays from a warm cache but never persists
-    the run — used by ``--changed``, whose partial view must not
-    overwrite a whole-tree snapshot.
-
-    ``changed_scope`` is the ``--changed`` contract: ``paths`` still
-    name the *whole* tree (so the project graph and summaries see every
-    module), and the scope — a set of changed relpaths — filters what
-    is *reported*: file-scope findings only in changed files, project-
-    scope findings in the changed files plus every module connected to
-    them through the import graph.  That closes the v3 gap where graph
-    rules were simply dropped and cross-file regressions rode in
-    silently on an edit-loop lint.
     """
     from .cache import (
         LintCache,
@@ -243,11 +225,9 @@ def run_lint(
 
     # ------------------------------------------------------------------
     # fully-warm path: nothing changed anywhere -> replay, no parsing
-    # (a --changed run always parses: the scope filter needs the graph)
     # ------------------------------------------------------------------
     if (
-        changed_scope is None
-        and cache_usable
+        cache_usable
         and cache.project_fp == proj_fp
         and set(cache.files) == set(hashes)
         and all(cache.files[r].get("hash") == h for r, h in hashes.items())
@@ -296,11 +276,7 @@ def run_lint(
         from .project import ProjectGraph
 
         ctx.project = ProjectGraph.build(units)
-        if any(getattr(r, "needs_escape", False) for r in rules):
-            from .escape import EscapeAnalysis
-
-            ctx.escape = EscapeAnalysis.build(ctx.project)
-        if any(getattr(r, "needs_summaries", False) for r in rules):
+        if any(r.needs_summaries for r in rules):
             from .summaries import SummaryIndex
 
             module_hashes = {
@@ -354,34 +330,12 @@ def run_lint(
             if finding.path in per_file:
                 per_file[finding.path]["project_findings"].append(finding)
 
-    lint_scope = None
-    if changed_scope is not None:
-        changed = set(changed_scope)
-        lint_scope = changed | _affected_closure(ctx.project, changed)
-        wide_ids = {r.id for r in rules if r.needs_graph} | {PARSE_RULE}
-        for relpath, entry in per_file.items():
-            if relpath not in changed:
-                entry["file_findings"] = [
-                    f for f in entry["file_findings"] if f.rule in wide_ids
-                ] if relpath in lint_scope else []
-            if relpath not in lint_scope:
-                entry["project_findings"] = []
-        if baseline is not None:
-            # Entries for files outside the scope were never candidates
-            # this run; dropping them keeps "stale" meaningful.
-            baseline = Baseline([
-                e for e in baseline.entries
-                if e.path in changed
-                or (e.path in lint_scope and e.rule in wide_ids)
-            ])
-
     raw = []
     for entry in per_file.values():
         raw.extend(entry["file_findings"])
         raw.extend(entry["project_findings"])
 
-    # A scoped run holds filtered findings — never a whole-tree snapshot.
-    if cache is not None and cache_write and changed_scope is None:
+    if cache is not None:
         cache.save(
             fingerprint,
             proj_fp,
@@ -404,43 +358,9 @@ def run_lint(
     result = _finish(
         raw, baseline, len(files), cache_mode=mode, files_replayed=files_replayed
     )
-    result.lint_scope = lint_scope
     if ctx.summaries is not None:
         result.summary_stats = dict(ctx.summaries.stats)
     return result
-
-
-def _affected_closure(graph, changed_rels: set) -> set:
-    """Relpaths whose project-scope findings an edit can move.
-
-    Undirected reachability over the import graph from the changed
-    modules: a changed callee shifts facts in its importers (reverse
-    edges), and a changed caller can newly reach sinks in what it
-    imports (forward edges).  Modules in neither closure cannot observe
-    the edit through any graph rule, so their findings are stable and
-    stay filtered.
-    """
-    if graph is None:
-        return set(changed_rels)
-    reverse: Dict[str, set] = {}
-    for src, targets in graph.import_edges.items():
-        for target in targets:
-            reverse.setdefault(target, set()).add(src)
-    mod_of = {rel: syms.module for rel, syms in graph.by_relpath.items()}
-    frontier = [mod_of[rel] for rel in changed_rels if rel in mod_of]
-    seen = set(frontier)
-    while frontier:
-        module = frontier.pop()
-        for neighbour in (
-            *graph.import_edges.get(module, ()),
-            *reverse.get(module, ()),
-        ):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return {
-        rel for rel, syms in graph.by_relpath.items() if syms.module in seen
-    }
 
 
 def _finish(

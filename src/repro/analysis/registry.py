@@ -32,23 +32,17 @@ class Rule:
     and optionally :meth:`applies` to scope themselves to a subset of
     the tree.
 
-    Three graph knobs drive dispatch and cache keying:
+    Two graph knobs drive dispatch and cache keying:
 
     * ``scope`` — ``"file"`` rules run per module via :meth:`check`;
       ``"project"`` rules run once per lint via :meth:`check_project`
       and see the whole :class:`~.project.ProjectGraph`.  The cache
       replays file-scope findings per file and re-runs project-scope
       rules whenever *any* file changes.
-    * ``needs_escape`` — the rule additionally consumes the escape
-      analysis (:mod:`.escape`): the engine builds ``ctx.escape`` on
-      top of the graph only when some selected rule asks for it.
     * ``needs_summaries`` — the rule consumes the interprocedural
       fixpoint summaries (:mod:`.summaries`): the engine builds
       ``ctx.summaries`` on top of the graph only on demand, and the
       cache replays them per call-graph SCC.
-
-    ``help_uri`` is surfaced as the SARIF rule descriptor's ``helpUri``
-    so CI code-scanning annotations link back to the rule's docs.
     """
 
     id: str = ""
@@ -56,17 +50,11 @@ class Rule:
     severity: Severity = Severity.ERROR
     description: str = ""
     scope: str = "file"  # "file" | "project"
-    needs_escape: bool = False
     needs_summaries: bool = False
-    help_uri: str = ""
 
     @property
     def needs_graph(self) -> bool:
-        return (
-            self.scope == "project"
-            or self.needs_escape
-            or self.needs_summaries
-        )
+        return self.scope == "project" or self.needs_summaries
 
     def applies(self, relpath: str) -> bool:
         """Whether this rule runs on the module at ``relpath`` (posix)."""

@@ -11,6 +11,8 @@ from .findings import Finding
 from .registry import Rule
 
 SARIF_VERSION = "2.1.0"
+#: Every rule is documented in DESIGN.md §9; descriptors link there.
+_DOCS_URI = "DESIGN.md#9-static-analysis"
 SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
@@ -129,11 +131,7 @@ def report_sarif(
             "name": type(rule).__name__ if rule else rid,
             "shortDescription": {"text": rule.title if rule else rid},
             "fullDescription": {"text": rule.description if rule else ""},
-            "helpUri": (
-                (rule.help_uri or "DESIGN.md#9-static-analysis")
-                if rule
-                else "DESIGN.md#9-static-analysis"
-            ),
+            "helpUri": _DOCS_URI,
             "defaultConfiguration": {
                 "level": rule.severity.value if rule else "error"
             },
@@ -144,7 +142,7 @@ def report_sarif(
         "tool": {
             "driver": {
                 "name": "reprolint",
-                "informationUri": "DESIGN.md#9-static-analysis",
+                "informationUri": _DOCS_URI,
                 "rules": descriptors,
             }
         },

@@ -10,7 +10,6 @@ from . import (  # noqa: F401
     r005_float_eq,
     r006_exceptions,
     r007_ledger_audit,
-    r010_worker_globals,
     r015_ordered_reduction,
     r016_fail_open,
 )

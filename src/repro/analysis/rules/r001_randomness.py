@@ -1,63 +1,41 @@
-"""R001 — every random draw and clock read descends from the root seed.
+"""R001 — no unseeded randomness and no wall clocks in seeded code.
 
 Every Monte-Carlo path in the reproduction must be a pure function of
 its seed (the bit-identity contracts of DESIGN.md §6–§8 and §12 depend
 on it): ``sim.rng.derive_seed`` hashes ``(root_seed, name)`` and the
-registry hands out named ``Generator`` streams from it.  One
-project-scope rule guards that lineage.
+registry hands out named ``Generator`` streams from it.
 
 **Scope.** Every module of the seeded packages
-(:data:`SEEDED_PACKAGES`) and of ``benchmarks/``, plus every
-worker-reachable function in any package: the escape analysis
-(:mod:`..escape`) closes over everything a ``pool.submit`` /
-``run_ordered`` / ``map`` or executor-initializer boundary can run, and
-a job must be a pure function of its submitted ``(seed, cell)``
-payload wherever it lives.
+(:data:`SEEDED_PACKAGES`) and of ``benchmarks/``.
 
-**Unseeded APIs** (one check, whole module in the seeded scope, the
-function body elsewhere):
+**Flagged sites**, one finding each:
 
 * the stdlib ``random`` module — its import, and calls through an
   alias of it;
 * ``np.random`` global functions (``np.random.seed/rand/normal/...``),
   resolved through the module's import table;
 * the banned wall clocks (``time.time``, ``datetime.now``, ...;
-  ``time.perf_counter`` stays allowed as a wall timer).
+  ``time.perf_counter`` stays allowed as a wall timer);
+* ``default_rng()``/``SeedSequence()`` with no seed, which draw OS
+  entropy;
+* module-level generator state: ``_RNG = default_rng(...)`` at module
+  scope is a hidden stream shared by every importer, so consumption
+  order becomes part of the seed lineage.
 
-**Seed lineage** (:func:`~..dataflow.analyze_entropy`, once per
-function): ``default_rng()``/``SeedSequence()`` with no seed draw OS
-entropy, and a seed provably derived from process state — clocks,
-pids, ``os.urandom``, through any number of call hops via the summary
-fixpoint, and through instance fields assigned from process state in
-another method — breaks replay.  In worker-reachable code, reads of
-module globals some function mutates are process state too.
-
-**Module-level generator state** — ``_RNG = default_rng(...)`` at
-module scope is a hidden stream shared by every importer: consumption
-order becomes part of the seed lineage, so generators live in function
-or instance scope and are threaded explicitly.
-
-A site yields one finding; a hit inside worker-reachable code names
-the worker entry it runs under.  Unresolvable calls contribute nothing
-(confident-or-absent).
+The rule is per file and does not follow a seed through calls.  A seed
+salted with process state on its way to a worker (a pid folded into
+the backtest's ``RngRegistry``) is held by the tier-1 serial/pooled
+identity tests instead (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
-from ..dataflow import (
-    BANNED_CLOCK_ATTRS,
-    SEED_SINK_LEAVES,
-    EntropyTaint,
-    analyze_entropy,
-)
-from ..escape import walk_shallow
 from ..findings import Finding
-from ..project import FuncKey
 from ..registry import Rule, in_benchmarks, in_packages, register
-from ..symbols import FunctionInfo, ModuleSymbols, dotted_name, leaf_name
+from ..symbols import dotted_name, extract_symbols, leaf_name
 
 #: Packages whose results must be a pure function of the seed.  The
 #: backtest harness and the rng plumbing itself belong here: a lineage
@@ -72,174 +50,130 @@ ALLOWED_NP_RANDOM = frozenset(
      "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
 )
 
-_NP_RANDOM = ("np.random", "numpy.random")
-
-_REMEDY = (
-    "every stream must descend from the experiment's root seed "
-    "(sim.rng.derive_seed / RngRegistry)"
+#: Dotted wall-clock reads that make results run-dependent; leaves
+#: alone don't work since ``history.today`` is not a clock.
+BANNED_CLOCK_ATTRS = frozenset(
+    {"time.time", "time.time_ns", "datetime.now", "datetime.utcnow",
+     "datetime.today", "date.today", "datetime.datetime.now",
+     "datetime.datetime.utcnow", "datetime.datetime.today",
+     "datetime.date.today"}
 )
 
+#: Call leaves that build a generator from a seed.
+SEED_SINK_LEAVES = frozenset({"default_rng", "SeedSequence"})
 
-def _resolve(syms: ModuleSymbols, dotted: str) -> str:
-    """``dotted`` with its head replaced by the imported module path."""
-    head, _, rest = dotted.partition(".")
-    target = syms.imports.get(head, head)
-    return f"{target}.{rest}" if rest else target
+_NP_RANDOM = ("np.random", "numpy.random")
 
 
-def _api_issues(
-    nodes: Iterable[ast.AST], syms: ModuleSymbols
-) -> Iterator[Tuple[ast.AST, str]]:
-    """Unseeded-API sites among ``nodes``: stdlib random, np globals, clocks."""
-    for node in nodes:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random" or alias.name.startswith("random."):
-                    yield node, (
-                        "imports stdlib 'random', unseeded global state; "
-                        "use a seeded np.random.Generator (sim.rng)"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            mod = node.module or ""
-            if mod == "random":
-                yield node, (
-                    "imports from stdlib 'random', unseeded global state; "
+def _violation(node: ast.AST, imports: Dict[str, str]) -> str:
+    """Why ``node`` breaks the seed contract, or ``""``."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.name == "random" or alias.name.startswith("random."):
+                return (
+                    "imports stdlib 'random', unseeded global state; "
                     "use a seeded np.random.Generator (sim.rng)"
                 )
-            elif mod in _NP_RANDOM:
-                for alias in node.names:
-                    if alias.name not in ALLOWED_NP_RANDOM:
-                        yield node, (
-                            f"imports numpy.random.{alias.name}, the "
-                            "unseeded global stream; use "
-                            "np.random.default_rng(seed)"
-                        )
-        elif isinstance(node, ast.Attribute):
-            dotted = dotted_name(node)
-            if dotted in BANNED_CLOCK_ATTRS:
-                yield node, (
-                    f"reads the wall clock via {dotted}(); results differ "
-                    "run to run — thread times through arguments or the "
-                    "job payload"
-                )
-                continue
-            head, _, attr = dotted.rpartition(".")
-            if attr not in ALLOWED_NP_RANDOM and (
-                head in _NP_RANDOM or _resolve(syms, head) == "numpy.random"
-            ):
-                yield node, (
-                    f"{dotted} uses numpy's unseeded global stream; "
-                    "use np.random.default_rng(seed)"
-                )
-        elif isinstance(node, ast.Call):
-            dotted = dotted_name(node.func)
-            head, dot, _ = dotted.partition(".")
-            if dot and syms.imports.get(head) == "random":
-                yield node, (
-                    f"calls stdlib {dotted}(); the global random state is "
-                    "per-process — use a Generator derived from the seed"
-                )
+    elif isinstance(node, ast.ImportFrom):
+        mod = node.module or ""
+        if mod == "random":
+            return (
+                "imports from stdlib 'random', unseeded global state; "
+                "use a seeded np.random.Generator (sim.rng)"
+            )
+        if mod in _NP_RANDOM:
+            for alias in node.names:
+                if alias.name not in ALLOWED_NP_RANDOM:
+                    return (
+                        f"imports numpy.random.{alias.name}, the unseeded "
+                        "global stream; use np.random.default_rng(seed)"
+                    )
+    elif isinstance(node, ast.Attribute):
+        dotted = dotted_name(node)
+        if dotted in BANNED_CLOCK_ATTRS:
+            return (
+                f"reads the wall clock via {dotted}(); results differ run "
+                "to run — thread times through arguments or the job payload"
+            )
+        head, _, attr = dotted.rpartition(".")
+        first, _, rest = head.partition(".")
+        resolved = imports.get(first, first) + (f".{rest}" if rest else "")
+        if attr not in ALLOWED_NP_RANDOM and (
+            head in _NP_RANDOM or resolved == "numpy.random"
+        ):
+            return (
+                f"{dotted} uses numpy's unseeded global stream; "
+                "use np.random.default_rng(seed)"
+            )
+    elif isinstance(node, ast.Call):
+        dotted = dotted_name(node.func)
+        head, dot, _ = dotted.partition(".")
+        if dot and imports.get(head) == "random":
+            return (
+                f"calls stdlib {dotted}(); the global random state is "
+                "per-process — use a Generator derived from the seed"
+            )
+        if leaf_name(node.func) in SEED_SINK_LEAVES and not (
+            node.args or node.keywords
+        ):
+            return (
+                f"{dotted}() with no seed draws OS entropy; every stream "
+                "must descend from the experiment's root seed "
+                "(sim.rng.derive_seed / RngRegistry)"
+            )
+    return ""
 
 
 @register
-class SeedLineage(Rule):
+class UnseededRandomness(Rule):
     id = "R001"
-    title = "every random draw and clock read descends from the root seed"
-    scope = "project"
-    needs_escape = True
-    needs_summaries = True
+    title = "no unseeded randomness or wall-clock reads in seeded code"
     description = (
-        "In src/repro/{core,execution,market,mpi,backtest,sim,experiments}, "
-        "benchmarks/, and every function reachable from a WorkerPool."
-        "submit/run_ordered/map or executor-initializer boundary in any "
-        "package: no stdlib random, no np.random global functions, no "
-        "banned wall-clock reads (time.time, datetime.now), no "
-        "default_rng()/SeedSequence() without a seed, no seed derived "
-        "from process state (clocks, pids, os.urandom, mutated module "
-        "globals in worker code) through call chains or instance fields, "
-        "and no module-level generator state."
+        "In src/repro/{core,execution,market,mpi,backtest,sim,experiments} "
+        "and benchmarks/: no stdlib random, no np.random global "
+        "functions, no banned wall-clock reads (time.time, datetime.now), "
+        "no default_rng()/SeedSequence() without a seed, and no "
+        "module-level generator state."
     )
-    help_uri = "DESIGN.md#9-static-analysis"
 
-    def check_project(self, ctx) -> Iterator[Finding]:
-        graph, escape, summaries = ctx.project, ctx.escape, ctx.summaries
-        if graph is None or escape is None or summaries is None:
-            return
-        workers_of: Dict[str, List[FunctionInfo]] = {}
-        for key in sorted(escape.worker_reachable):
-            info = graph.functions.get(key)
-            if info is not None:
-                workers_of.setdefault(info.module, []).append(info)
+    def applies(self, relpath: str) -> bool:
+        return in_packages(relpath, SEEDED_PACKAGES) or in_benchmarks(relpath)
 
-        for relpath in sorted(graph.by_relpath):
-            syms = graph.by_relpath[relpath]
-            unit = ctx.units.get(relpath)
-            workers = workers_of.get(syms.module, [])
-            seeded = in_packages(relpath, SEEDED_PACKAGES) or in_benchmarks(
-                relpath
+    def check(self, unit, ctx) -> Iterator[Finding]:
+        imports = extract_symbols(unit).imports
+        # One finding per site; the module-level generator message
+        # claims its call before the unseeded-call message can.
+        found: Dict[Tuple[int, int], str] = {}
+        for call in _module_generators(unit.tree):
+            found[(call.lineno, call.col_offset)] = (
+                f"module-level {leaf_name(call.func)}(...) is a hidden "
+                "stream shared by every importer — consumption order "
+                "becomes part of the seed lineage; construct generators "
+                "in function or instance scope and thread them explicitly"
             )
-            if unit is None or not (seeded or workers):
-                continue
-            # One finding per site; the first message claims it, so a
-            # clock read that seeds a generator reports the lineage.
-            found: Dict[Tuple[int, int], str] = {}
-            label: Dict[FuncKey, str] = {}
-            where: Dict[int, str] = {}
-            for info in workers:
-                label[info.key] = (
-                    f"in {info.qualname}() (worker-reachable, entry "
-                    f"{escape.entry_name(info.key)})"
-                )
-                for node in walk_shallow(info.node):
-                    where[id(node)] = label[info.key]
-
-            if seeded:
-                for call in _module_generators(unit.tree):
-                    found.setdefault(
-                        (call.lineno, call.col_offset),
-                        f"module-level {leaf_name(call.func)}(...) is a "
-                        "hidden stream shared by every importer — "
-                        "consumption order becomes part of the seed "
-                        "lineage; construct generators in function or "
-                        "instance scope and thread them explicitly",
-                    )
-                for issue in EntropyTaint().run(unit.tree.body).issues:
-                    found.setdefault(
-                        (issue.lineno, issue.col),
-                        f"at module scope, {issue.source}; {_REMEDY}",
-                    )
-
-            written = escape.written_globals(syms.module) if workers else None
-            functions = syms.functions.values() if seeded else workers
-            for info in sorted(functions, key=lambda i: i.qualname):
-                issues = analyze_entropy(
-                    info.node,
-                    process_globals=written if info.key in label else None,
-                    call_resolver=summaries.entropy_resolver(info),
-                    sink_param_resolver=summaries.sink_resolver(info),
-                    tainted_fields=summaries.entropy_fields_for(info),
-                )
-                prefix = label.get(info.key, f"in {info.qualname}()")
-                for issue in issues:
-                    found.setdefault(
-                        (issue.lineno, issue.col),
-                        f"{prefix}, {issue.source}; {_REMEDY}",
-                    )
-
-            nodes = (
-                ast.walk(unit.tree)
-                if seeded
-                else (n for info in workers for n in walk_shallow(info.node))
-            )
-            for node, message in _api_issues(nodes, syms):
-                prefix = where.get(id(node))
+        for node, where in _walk_with_scope(unit.tree):
+            message = _violation(node, imports)
+            if message:
                 found.setdefault(
                     (node.lineno, node.col_offset),
-                    f"{prefix}, {message}" if prefix else message,
+                    f"in {where}(), {message}" if where else message,
                 )
+        for (line, col), message in found.items():
+            yield self.finding(unit, line, col, message)
 
-            for (line, col), message in found.items():
-                yield self.finding(unit, line, col, message)
+
+def _walk_with_scope(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+    """Every node with the qualname of its innermost enclosing def."""
+    stack = [(child, "", "") for child in ast.iter_child_nodes(tree)]
+    while stack:
+        node, where, prefix = stack.pop()
+        yield node, where
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = prefix = f"{prefix}{node.name}"
+            prefix += "."
+        elif isinstance(node, ast.ClassDef):
+            prefix = f"{prefix}{node.name}."
+        stack.extend((c, where, prefix) for c in ast.iter_child_nodes(node))
 
 
 def _module_generators(tree: ast.Module) -> Iterator[ast.Call]:

@@ -181,7 +181,6 @@ class OrderedReduction(Rule):
         "order and clears the finding (list(...) does not). "
         "math.fsum is exempt — correctly rounded, order-independent."
     )
-    help_uri = "DESIGN.md#14-interprocedural-summaries"
 
     def applies(self, relpath: str) -> bool:
         return in_packages(relpath, ORDERED_PACKAGES) and not in_benchmarks(

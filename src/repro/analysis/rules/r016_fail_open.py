@@ -57,7 +57,6 @@ class FailOpenContract(Rule):
         "handlers that catch a subclass (FileNotFoundError) while the "
         "general OSError still escapes."
     )
-    help_uri = "DESIGN.md#14-interprocedural-summaries"
 
     def check_project(self, ctx) -> Iterator[Finding]:
         graph = ctx.project

@@ -1,33 +1,26 @@
-"""Interprocedural function summaries, iterated to fixpoint (v4).
+"""Interprocedural exception-flow summaries, iterated to fixpoint.
 
 Classic summary-based analysis: every function gets a
-:class:`FunctionSummary` — whether its return value carries process
-entropy, which of its parameters (transitively) reach a seed sink, and
-which modeled exceptions can escape it — and summaries are computed
-over the call graph's SCC condensation (:meth:`~.project.ProjectGraph.
-sccs`) in reverse topological order.  Acyclic chains converge in one
-visit per function; mutually-recursive groups iterate within their SCC
-until the (finite, small) facts stop changing.
+:class:`FunctionSummary` — which modeled exceptions can escape it — and
+summaries are computed over the call graph's SCC condensation
+(:meth:`~.project.ProjectGraph.sccs`) in reverse topological order.
+Acyclic chains converge in one visit per function; mutually-recursive
+groups iterate within their SCC until the (finite, small) facts stop
+changing.  R016 is the consumer.
 
-Alongside the per-function table, the index records per class the set
-of instance fields (``self.x``) any method assigns from process
-entropy.  R001's taint reads them, so seed taint flows through
-objects, not just locals.
-
-Conservatism splits by consumer.  The entropy/sink facts keep
-the under-approximation contract — unresolvable calls produce no facts,
-so rules miss findings rather than invent them.  The exception facts
-invert it on purpose: R016 asserts the *absence* of escaping
-``OSError``/``EOFError``, which needs a may-escape **over**-
-approximation, sourced from a curated table of stdlib raisers plus
-callee summaries (an unresolvable call still contributes nothing — the
-table is what keeps the direction honest for the IO leaves that
-matter).
+The facts are a may-escape **over**-approximation on purpose: R016
+asserts the *absence* of escaping ``OSError``/``EOFError``, so it must
+err toward reporting.  They are sourced from a curated table of stdlib
+raisers plus callee summaries; an unresolvable call still contributes
+nothing, and the table is what keeps the direction honest for the IO
+leaves that matter.  A callable handed to ``submit``/``run_ordered``/
+``map`` contributes its own escape set at the call site, since what
+escapes a worker job resurfaces in the parent at the gather.
 
 Summaries are content-keyed per SCC — the key hashes every member's
 module content hash plus the keys of all callee SCCs — and join the
-two-tier lint cache, so a warm ``--changed`` run re-summarizes only the
-SCCs reachable from the edit and replays the rest.
+lint cache, so a warm run re-summarizes only the SCCs an edit can
+reach and replays the rest.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from hashlib import sha256
 from time import perf_counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .dataflow import EntropyTaint, SEED_SINK_LEAVES, all_param_names
 from .project import FuncKey, ProjectGraph
 from .symbols import FunctionInfo, dotted_name, own_exprs, walk_expr_shallow
 
@@ -48,7 +40,7 @@ from .symbols import FunctionInfo, dotted_name, own_exprs, walk_expr_shallow
 _MAX_SCC_SWEEPS = 16
 
 # ----------------------------------------------------------------------
-# exception-flow model (R016)
+# exception-flow model
 # ----------------------------------------------------------------------
 
 #: The two abstract exception facts R016 reasons about.  OSError stands
@@ -106,24 +98,14 @@ _BOUNDARY_LEAVES = frozenset({"submit", "run_ordered", "map"})
 class FunctionSummary:
     """Interprocedural facts of one function, joined at call sites."""
 
-    entropy_return: bool = False
-    seed_sink_params: FrozenSet[str] = frozenset()
     raises: FrozenSet[str] = frozenset()
 
     def to_json(self) -> dict:
-        return {
-            "entropy": self.entropy_return,
-            "sinks": sorted(self.seed_sink_params),
-            "raises": sorted(self.raises),
-        }
+        return {"raises": sorted(self.raises)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionSummary":
-        return cls(
-            entropy_return=bool(doc.get("entropy")),
-            seed_sink_params=frozenset(doc.get("sinks", ())),
-            raises=frozenset(doc.get("raises", ())),
-        )
+        return cls(raises=frozenset(doc.get("raises", ())))
 
 
 # ----------------------------------------------------------------------
@@ -255,102 +237,6 @@ def escaping_raises(
     return frozenset(out)
 
 
-class _SinkFlow:
-    """Which parameters of one function reach a seed sink.
-
-    A tiny origin-tracking pass: every local maps to the set of
-    parameters its value derives from (assignments union, loops bind
-    from their iterable), and any argument fed to ``default_rng``/
-    ``SeedSequence`` — or to a callee parameter that itself reaches a
-    sink, per that callee's summary — marks its origin parameters.
-    """
-
-    def __init__(
-        self,
-        params: Tuple[str, ...],
-        callee_sinks: Callable[
-            [str], Optional[Tuple[Tuple[str, ...], FrozenSet[str]]]
-        ],
-    ) -> None:
-        self.env: Dict[str, Set[str]] = {p: {p} for p in params}
-        self.callee_sinks = callee_sinks
-        self.sink_params: Set[str] = set()
-
-    def _origins(self, node: ast.AST) -> Set[str]:
-        out: Set[str] = set()
-        for sub in walk_expr_shallow(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                out |= self.env.get(sub.id, set())
-        return out
-
-    def _bind(self, target: ast.expr, origins: Set[str]) -> None:
-        if isinstance(target, ast.Name):
-            self.env[target.id] = set(origins)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._bind(elt, origins)
-
-    def _scan_calls(self, stmt: ast.stmt) -> None:
-        for expr in own_exprs(stmt):
-            for sub in walk_expr_shallow(expr):
-                if not isinstance(sub, ast.Call):
-                    continue
-                dotted = dotted_name(sub.func)
-                leaf = dotted.rsplit(".", 1)[-1]
-                if leaf in SEED_SINK_LEAVES:
-                    for arg in (*sub.args, *[k.value for k in sub.keywords]):
-                        self.sink_params |= self._origins(arg)
-                    continue
-                resolved = self.callee_sinks(dotted) if dotted else None
-                if resolved is None:
-                    continue
-                params, sinks = resolved
-                if not sinks:
-                    continue
-                if params and params[0] in ("self", "cls") and isinstance(
-                    sub.func, ast.Attribute
-                ):
-                    params = params[1:]
-                for pname, arg in zip(params, sub.args):
-                    if isinstance(arg, ast.Starred):
-                        break
-                    if pname in sinks:
-                        self.sink_params |= self._origins(arg)
-                named = set(params)
-                for kw in sub.keywords:
-                    if kw.arg in named and kw.arg in sinks:
-                        self.sink_params |= self._origins(kw.value)
-
-    def run(self, body: List[ast.stmt]) -> "_SinkFlow":
-        for stmt in body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            self._scan_calls(stmt)
-            if isinstance(stmt, ast.Assign):
-                origins = self._origins(stmt.value)
-                for target in stmt.targets:
-                    self._bind(target, origins)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                self._bind(stmt.target, self._origins(stmt.value))
-            elif isinstance(stmt, ast.AugAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                self.env.setdefault(stmt.target.id, set()).update(
-                    self._origins(stmt.value)
-                )
-            elif isinstance(stmt, ast.For):
-                self._bind(stmt.target, self._origins(stmt.iter))
-            for attr in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, attr, None)
-                if inner:
-                    self.run(inner)
-            for handler in getattr(stmt, "handlers", ()) or ():
-                self.run(handler.body)
-        return self
-
-
 # ----------------------------------------------------------------------
 # the index
 # ----------------------------------------------------------------------
@@ -358,14 +244,9 @@ class _SinkFlow:
 
 @dataclass
 class SummaryIndex:
-    """Fixpoint summary table plus per-class entropy fields."""
+    """Fixpoint summary table over one project graph."""
 
     functions: Dict[FuncKey, FunctionSummary] = field(default_factory=dict)
-    #: ``(module, class qualname)`` → ``"self.x"`` keys some method of
-    #: the class assigns from process entropy.
-    class_entropy: Dict[Tuple[str, str], FrozenSet[str]] = field(
-        default_factory=dict
-    )
     #: Cache payload: SCC content key → [[module, qualname, summary]].
     scc_payload: Dict[str, List[list]] = field(default_factory=dict)
     stats: Dict[str, object] = field(default_factory=dict)
@@ -381,7 +262,6 @@ class SummaryIndex:
     ) -> "SummaryIndex":
         t0 = perf_counter()
         index = cls(_graph=graph)
-        index._build_class_entropy(graph)
         components, component_of = graph.sccs()
         comp_keys: List[str] = []
         replayed = recomputed = 0
@@ -427,31 +307,6 @@ class SummaryIndex:
         }
         return index
 
-    # ------------------------------------------------ class entropy
-    def _build_class_entropy(self, graph: ProjectGraph) -> None:
-        for syms in graph.by_relpath.values():
-            tree = syms.unit.tree
-
-            def walk(body, prefix: str) -> None:
-                for node in body:
-                    if isinstance(node, ast.ClassDef):
-                        qual = f"{prefix}{node.name}"
-                        self.class_entropy[(syms.module, qual)] = (
-                            _entropy_fields(node)
-                        )
-                        walk(node.body, f"{qual}.")
-                    elif isinstance(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        walk(node.body, f"{prefix}{node.name}.")
-
-            walk(tree.body, "")
-
-    def entropy_fields_for(self, info: FunctionInfo) -> FrozenSet[str]:
-        """Entropy-assigned fields of the class a method belongs to."""
-        prefix, _, _ = info.qualname.rpartition(".")
-        return self.class_entropy.get((info.module, prefix), frozenset())
-
     # -------------------------------------------------------- fixpoint
     def _fixpoint(self, graph: ProjectGraph, comp: List[FuncKey]) -> None:
         sweeps = min(_MAX_SCC_SWEEPS, len(comp) + 3)
@@ -459,78 +314,25 @@ class SummaryIndex:
             changed = False
             for key in comp:
                 info = graph.functions[key]
-                new = self._summarize(graph, info)
+                new = FunctionSummary(
+                    raises=escaping_raises(
+                        info.node.body, self.raise_resolver(info)
+                    )
+                )
                 if self.functions.get(key) != new:
                     self.functions[key] = new
                     changed = True
             if not changed:
                 break
 
-    def _summarize(
-        self, graph: ProjectGraph, info: FunctionInfo
-    ) -> FunctionSummary:
-        node = info.node
-        taint = EntropyTaint(
-            params=all_param_names(node),
-            call_resolver=self.entropy_resolver(info),
-            tainted_fields=self.entropy_fields_for(info),
-        )
-        taint.run(node.body)
-
-        flow = _SinkFlow(
-            all_param_names(node), self.sink_resolver(info)
-        ).run(node.body)
-
-        raises = escaping_raises(node.body, self.raise_resolver(info))
-
-        return FunctionSummary(
-            entropy_return=taint.entropy_return,
-            seed_sink_params=frozenset(flow.sink_params),
-            raises=raises,
-        )
-
     # ------------------------------------------------------- resolvers
-    def entropy_resolver(self, caller: Optional[FunctionInfo]):
-        """Why a call's return value is process entropy, or None."""
-
-        def resolve(dotted: str) -> Optional[str]:
-            callee = (
-                self._graph.resolve_call(caller, dotted)
-                if self._graph is not None and caller is not None
-                else None
-            )
-            if callee is None:
-                return None
-            summary = self.functions.get(callee.key)
-            if summary is not None and summary.entropy_return:
-                return f"{dotted}() (its return value derives from process state)"
-            return None
-
-        return resolve
-
-    def sink_resolver(self, caller: Optional[FunctionInfo]):
-        """Callee parameter names + the subset reaching a seed sink."""
-
-        def resolve(
-            dotted: str,
-        ) -> Optional[Tuple[Tuple[str, ...], FrozenSet[str]]]:
-            callee = (
-                self._graph.resolve_call(caller, dotted)
-                if self._graph is not None and caller is not None
-                else None
-            )
-            if callee is None:
-                return None
-            summary = self.functions.get(callee.key)
-            if summary is None:
-                return None
-            params = all_param_names(callee.node)
-            return params, summary.seed_sink_params
-
-        return resolve
-
-    def raise_resolver(self, caller: Optional[FunctionInfo]) -> RaiseResolver:
+    def raise_resolver(self, caller: FunctionInfo) -> RaiseResolver:
         """May-raise facts of one call site (table + summaries)."""
+
+        def summarized(name: str) -> FrozenSet[str]:
+            callee = self._graph.resolve_call(caller, name) if name else None
+            summary = self.functions.get(callee.key) if callee else None
+            return summary.raises if summary is not None else frozenset()
 
         def resolve(call: ast.Call, dotted: str) -> FrozenSet[str]:
             if not dotted:
@@ -538,53 +340,14 @@ class SummaryIndex:
             if dotted in _DOTTED_RAISERS:
                 return _DOTTED_RAISERS[dotted]
             leaf = dotted.rsplit(".", 1)[-1]
-            out: Set[str] = set()
+            out = set(summarized(dotted))
             if leaf in _OS_RAISER_LEAVES:
                 out.add(OS_ERROR)
-            callee = (
-                self._graph.resolve_call(caller, dotted)
-                if self._graph is not None and caller is not None
-                else None
-            )
-            if callee is not None:
-                summary = self.functions.get(callee.key)
-                if summary is not None:
-                    out |= summary.raises
             if leaf in _BOUNDARY_LEAVES and call.args:
                 # The submitted callable runs in a worker; whatever
                 # escapes it resurfaces in this function when results
                 # are gathered.
-                entry_name = dotted_name(call.args[0])
-                entry = (
-                    self._graph.resolve_call(caller, entry_name)
-                    if self._graph is not None
-                    and caller is not None
-                    and entry_name
-                    else None
-                )
-                if entry is not None:
-                    entry_summary = self.functions.get(entry.key)
-                    if entry_summary is not None:
-                        out |= entry_summary.raises
+                out |= summarized(dotted_name(call.args[0]))
             return frozenset(out)
 
         return resolve
-
-
-def _entropy_fields(node: ast.ClassDef) -> FrozenSet[str]:
-    """Fields any of one class's methods assigns from process entropy.
-
-    The join is flow-insensitive across methods by design — any method
-    may run between any two others — so one tainted write anywhere
-    taints the field in every method.
-    """
-    entropy: Set[str] = set()
-    for method in node.body:
-        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        taint = EntropyTaint(params=all_param_names(method))
-        taint.run(method.body)
-        entropy.update(
-            key for key, dirty in taint.field_writes.items() if dirty
-        )
-    return frozenset(entropy)

@@ -40,10 +40,6 @@ class MPIRuntimeError(SimulationError):
     """
 
 
-class CheckpointError(ReproError):
-    """Checkpoint data was requested but never stored, or is corrupt."""
-
-
 class AuditError(ReproError):
     """A result violated a cost-conservation or bookkeeping invariant.
 

@@ -6,7 +6,8 @@
   time rising mildly; 20% becomes the default.
 * **kappa** — circle groups actually used.  The paper finds diminishing
   cost returns past kappa=4 while the optimization overhead explodes;
-  we report expected cost, bid-combinations evaluated, and wall time.
+  we report expected cost and bid-combinations evaluated, the
+  deterministic measure of the optimization overhead.
 * **T_m** — the adaptive window.  Too small re-checkpoints and
   re-optimizes constantly; too large reacts slowly to drifting prices.
   We run the adaptive executor on the drifting market of Figure 8.
@@ -14,7 +15,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -88,17 +88,14 @@ def run_kappa(
             "expected cost",
             "mc p95 cost",
             "combos evaluated",
-            "wall s",
         ),
     )
     problem = reduced.problem(app_name, deadline_factor)
     for kappa in kappas:
-        t0 = time.perf_counter()
         plan = reduced.sompi_plan(problem, reduced.config.with_(kappa=kappa))
-        wall = time.perf_counter() - t0
         mc = reduced.mc(problem, plan.decision, 120, f"kappa:{kappa}")
         result.add_row(
-            kappa, plan.expectation.cost, mc.p95_cost, plan.combos_evaluated, wall
+            kappa, plan.expectation.cost, mc.p95_cost, plan.combos_evaluated
         )
     costs = [row[1] for row in result.rows]
     combos = [row[3] for row in result.rows]

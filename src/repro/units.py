@@ -5,12 +5,12 @@ Internally the library uses a small set of canonical units:
 * **time** — hours (``float``).  The spot market reprices on an hourly-ish
   granularity and EC2 bills by the hour, so hours keep all of the paper's
   quantities (checkpoint intervals, deadlines, window sizes) in a natural
-  range.  Helpers convert to/from seconds for the MPI-level simulation,
+  range.  ``SECONDS_PER_HOUR`` converts for the MPI-level timing model,
   which works in seconds.
 * **money** — US dollars (``float``).
-* **data** — bytes (``int`` or ``float``); helpers for GB/MB.
+* **data** — bytes (``int`` or ``float``); constants for GB/MB.
 
-The helpers validate their inputs because unit mix-ups are the classic
+The validators check their inputs because unit mix-ups are the classic
 silent-failure mode of cost models.
 """
 
@@ -26,29 +26,9 @@ BYTES_PER_MB = 1024.0**2
 BYTES_PER_GB = 1024.0**3
 
 
-def hours(seconds: float) -> float:
-    """Convert seconds to hours."""
-    return seconds / SECONDS_PER_HOUR
-
-
-def seconds(hrs: float) -> float:
-    """Convert hours to seconds."""
-    return hrs * SECONDS_PER_HOUR
-
-
 def days_to_hours(days: float) -> float:
     """Convert days to hours."""
     return days * HOURS_PER_DAY
-
-
-def gb(num_bytes: float) -> float:
-    """Convert bytes to gigabytes."""
-    return num_bytes / BYTES_PER_GB
-
-
-def mb(num_bytes: float) -> float:
-    """Convert bytes to megabytes."""
-    return num_bytes / BYTES_PER_MB
 
 
 def check_positive(name: str, value: float) -> float:

@@ -539,7 +539,7 @@ class TestFramework:
     def test_every_rule_registered_with_description(self):
         rules = get_rules()
         assert [r.id for r in rules] == [
-            "R001", "R002", "R005", "R006", "R007", "R010", "R015", "R016",
+            "R001", "R002", "R005", "R006", "R007", "R015", "R016",
         ]
         for rule in rules:
             assert rule.title and rule.description
@@ -585,7 +585,7 @@ class TestCli:
             if line and not line[0].isspace()
         ]
         assert listed == [
-            "R001", "R002", "R005", "R006", "R007", "R010", "R015", "R016",
+            "R001", "R002", "R005", "R006", "R007", "R015", "R016",
         ]
 
 

@@ -256,10 +256,8 @@ _CACHE_FILES = {
     "src/repro/core/a.py": """
         import numpy as np
 
-        from repro.core import b
-
         def draw():
-            return np.random.default_rng(b.stamp())
+            return np.random.default_rng()
     """,
     "src/repro/core/b.py": """
         import os
@@ -306,27 +304,41 @@ class TestIncrementalCache:
         ].count("R001") >= 2  # the new import was actually re-linted
 
     def test_cross_file_change_recomputes_project_findings(self, tmp_path):
-        """a.py is byte-identical, but its R001 finding depends on the
+        """a.py is byte-identical, but its R016 finding depends on the
         *callee's* body in b.py — the cache must not replay it."""
+        files = {
+            "src/repro/core/a.py": '''
+                from repro.core import b
+
+                def load(path):
+                    """Read the cache, fail-open on a missing file."""
+                    return b.probe(path)
+            ''',
+            "src/repro/core/b.py": """
+                def probe(path):
+                    with open(path) as fh:
+                        return fh.read()
+            """,
+            "src/repro/core/c.py": "import random\n",
+        }
+        rules = ["R001", "R016"]
         cache = tmp_path / "cache.json"
-        first = lint_tree(
-            tmp_path, _CACHE_FILES, select=["R001"], cache_path=cache
-        )
-        # The pid-derived seed in a.py, plus c.py's random import.
+        first = lint_tree(tmp_path, files, select=rules, cache_path=cache)
+        # The OSError escaping through b.probe(), plus c.py's import.
         assert [(f.rule, f.path) for f in first.findings] == [
-            ("R001", "src/repro/core/a.py"),
+            ("R016", "src/repro/core/a.py"),
             ("R001", "src/repro/core/c.py"),
         ]
         (tmp_path / "src/repro/core/b.py").write_text(textwrap.dedent("""
-            def stamp():
-                return 7
+            def probe(path):
+                return path
         """))
         second = run_lint(
-            [tmp_path / "src"], root=tmp_path, rules=get_rules(["R001"]),
+            [tmp_path / "src"], root=tmp_path, rules=get_rules(rules),
             cache_path=cache,
         )
         assert second.cache_mode == "partial"  # a.py's file entry replayed
-        # stamp() now returns a constant: a.py's seed is clean.
+        # probe() no longer opens a file: load() is clean.
         assert [f.path for f in second.findings] == ["src/repro/core/c.py"]
 
     def test_rule_selection_changes_engine_fingerprint(self, tmp_path):

@@ -1,13 +1,11 @@
-"""Tests for reprolint v4: interprocedural summaries & lineage rules.
+"""Tests for reprolint's interprocedural summaries and the rules on top.
 
 Covers the fixpoint summary engine (SCC convergence on call cycles,
-per-SCC cache replay), R001's seed-lineage checks (formerly R014,
-including ``self.x`` entropy facts joined across methods) and the
-rules R015–R016 with positive and negative fixtures, the reworked
-``--changed`` scope (whole tree analysed, reporting filtered through
-the import-graph closure), and meta-tests that mutate copies of the
-*real* ``repro.execution`` / ``repro.backtest`` modules and assert
-each rule fires on the exact broken line.
+per-SCC cache replay), R001's per-file generator checks (the cases of
+the former R014 that survive without seed-lineage tracking), R015 and
+R016 with positive and negative fixtures, and meta-tests that mutate
+copies of the *real* ``repro.execution`` / ``repro.backtest`` modules
+and assert each rule fires on the exact broken line.
 """
 
 import textwrap
@@ -43,40 +41,39 @@ def rule_ids(result):
 class TestSummaryFixpoint:
     def test_three_cycle_scc_converges(self, tmp_path):
         # hop_a -> hop_b -> hop_c -> hop_a: the SCC has no topological
-        # order, so the (monotone) sink-param facts iterate within the
-        # component until every member knows `seed` reaches the
-        # derivation — only then can the tainted call in run() fire.
+        # order, so the (monotone) raise facts iterate within the
+        # component until every member knows open() can raise — only
+        # then does the fail-open load() see the OSError escape.
         result = lint_project(
             tmp_path,
             {
-                "src/repro/core/cycle.py": """
-                    import time
-
-                    import numpy as np
-
-                    def hop_a(seed, n):
+                "src/repro/execution/cycle.py": '''
+                    def hop_a(path, n):
                         if n == 0:
-                            return np.random.default_rng(seed)
-                        return hop_b(seed, n - 1)
+                            return open(path)
+                        return hop_b(path, n - 1)
 
-                    def hop_b(seed, n):
-                        return hop_c(seed, n)
+                    def hop_b(path, n):
+                        return hop_c(path, n)
 
-                    def hop_c(seed, n):
-                        return hop_a(seed, n)
+                    def hop_c(path, n):
+                        return hop_a(path, n)
 
-                    def run():
-                        return hop_b(time.time(), 3)
-                    """,
+                    def load(path):
+                        """Open the cache, fail-open on a missing file."""
+                        return hop_b(path, 3)
+                    ''',
             },
-            select=["R001"],
+            select=["R016"],
         )
-        assert rule_ids(result) == ["R001"]
-        assert "in run()" in result.findings[0].message
+        assert rule_ids(result) == ["R016"]
+        assert "load() documents a fail-open contract" in (
+            result.findings[0].message
+        )
         stats = result.summary_stats
         assert stats is not None
         assert stats["recomputed"] == 4
-        # hop_a/hop_b/hop_c collapse into one SCC; run is its own.
+        # hop_a/hop_b/hop_c collapse into one SCC; load is its own.
         assert stats["sccs"] >= 2
 
     def test_warm_run_replays_unchanged_sccs(self, tmp_path):
@@ -96,7 +93,7 @@ class TestSummaryFixpoint:
                 """,
         }
         cache = tmp_path / "cache.json"
-        cold = lint_project(tmp_path, files, select=["R001"], cache_path=cache)
+        cold = lint_project(tmp_path, files, select=["R016"], cache_path=cache)
         assert cold.summary_stats["recomputed"] == 3
         assert cold.summary_stats["replayed"] == 0
         # Edit only b: a's SCCs replay from the cache, b's recompute.
@@ -105,7 +102,7 @@ class TestSummaryFixpoint:
         warm = run_lint(
             [tmp_path / rel for rel in files],
             root=tmp_path,
-            rules=get_rules(["R001"]),
+            rules=get_rules(["R016"]),
             cache_path=cache,
         )
         assert warm.summary_stats["replayed"] == 2
@@ -113,7 +110,7 @@ class TestSummaryFixpoint:
 
 
 # ----------------------------------------------------------------------
-# R001 seed lineage (formerly R014)
+# R001 generator checks (formerly R014)
 # ----------------------------------------------------------------------
 class TestR014RngLineage:
     def test_naked_default_rng(self, tmp_path):
@@ -131,44 +128,6 @@ class TestR014RngLineage:
         )
         assert rule_ids(result) == ["R001"]
         assert "in draw()" in result.findings[0].message
-
-    def test_entropy_seed_through_two_hops(self, tmp_path):
-        # Both halves of the lineage live in other functions: the
-        # entropy source is two calls away, and the sink is reached
-        # through a forwarding parameter two calls deep.
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    import time
-
-                    import numpy as np
-
-                    def _now():
-                        return time.time()
-
-                    def stamp():
-                        return _now()
-
-                    def _derive(seed):
-                        return np.random.default_rng(seed)
-
-                    def make_gen(seed):
-                        return _derive(seed)
-
-                    def run():
-                        return make_gen(stamp())
-                    """,
-            },
-            select=["R001"],
-        )
-        # The clock read in _now() is its own site; the lineage break
-        # is reported where the entropy meets the seed parameter.
-        assert rule_ids(result) == ["R001", "R001"]
-        clock, finding = result.findings
-        assert "wall clock" in clock.message
-        assert "in run()" in finding.message
-        assert "root seed" in finding.message
 
     def test_explicit_seed_through_chain_is_clean(self, tmp_path):
         result = lint_project(
@@ -190,32 +149,6 @@ class TestR014RngLineage:
             select=["R001"],
         )
         assert result.findings == []
-
-    def test_entropy_instance_field_taints_seed(self, tmp_path):
-        # Stored in one method, consumed as a seed in another: the
-        # per-class field facts carry the taint between them.
-        result = lint_project(
-            tmp_path,
-            {
-                "src/repro/core/mod.py": """
-                    import time
-
-                    import numpy as np
-
-                    class Sampler:
-                        def __init__(self):
-                            self._salt = time.time()
-
-                        def gen(self):
-                            return np.random.default_rng(self._salt)
-                    """,
-            },
-            select=["R001"],
-        )
-        assert rule_ids(result) == ["R001", "R001"]
-        clock, finding = result.findings
-        assert "wall clock" in clock.message
-        assert "Sampler.gen()" in finding.message
 
     def test_param_seeded_instance_field_is_clean(self, tmp_path):
         result = lint_project(
@@ -557,67 +490,6 @@ class TestR016FailOpen:
             select=["R016"],
         )
         assert result.findings == []
-
-
-# ----------------------------------------------------------------------
-# --changed scope: whole-tree analysis, filtered reporting
-# ----------------------------------------------------------------------
-class TestChangedScope:
-    FILES = {
-        "src/repro/core/stamps.py": """
-            import os
-
-            def _raw():
-                return os.getpid()
-
-            def stamp():
-                return _raw()
-            """,
-        "src/repro/core/use.py": """
-            import numpy as np
-
-            from repro.core.stamps import stamp
-
-            def draw():
-                return np.random.default_rng(stamp())
-            """,
-        "src/repro/core/other.py": """
-            import random
-            """,
-    }
-
-    def _lint(self, tmp_path, changed_scope):
-        paths = []
-        for rel, text in self.FILES.items():
-            p = tmp_path / rel
-            p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_text(textwrap.dedent(text))
-            paths.append(p)
-        return run_lint(
-            paths, root=tmp_path, rules=get_rules(["R001"]),
-            changed_scope=changed_scope,
-        )
-
-    def test_edit_to_callee_reports_caller_drift(self, tmp_path):
-        # Only stamps.py "changed", but the pid-derived seed it causes
-        # lives in use.py — the import-graph closure keeps that finding.
-        result = self._lint(tmp_path, {"src/repro/core/stamps.py"})
-        assert rule_ids(result) == ["R001"]
-        assert result.findings[0].path == "src/repro/core/use.py"
-        # The unrelated R001 hit in other.py is out of scope.
-        assert result.lint_scope is not None
-        assert "src/repro/core/other.py" not in result.lint_scope
-
-    def test_unrelated_change_drops_cross_file_findings(self, tmp_path):
-        result = self._lint(tmp_path, {"src/repro/core/other.py"})
-        assert rule_ids(result) == ["R001"]
-        assert result.findings[0].path == "src/repro/core/other.py"
-
-    def test_unscoped_run_reports_everything(self, tmp_path):
-        result = self._lint(tmp_path, None)
-        assert [f.path for f in result.findings] == [
-            "src/repro/core/other.py", "src/repro/core/use.py",
-        ]
 
 
 # ----------------------------------------------------------------------

@@ -6,34 +6,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.units import (
-    BYTES_PER_GB,
-    SECONDS_PER_HOUR,
     check_fraction,
     check_nonnegative,
     check_positive,
     days_to_hours,
-    gb,
-    hours,
-    mb,
-    seconds,
 )
 
 
 class TestConversions:
-    def test_hours_seconds_roundtrip(self):
-        assert seconds(hours(7200.0)) == pytest.approx(7200.0)
-
-    def test_one_hour(self):
-        assert hours(SECONDS_PER_HOUR) == 1.0
-
     def test_days(self):
         assert days_to_hours(2.5) == 60.0
-
-    def test_gb(self):
-        assert gb(BYTES_PER_GB) == 1.0
-
-    def test_mb(self):
-        assert mb(1024.0**2 * 3) == 3.0
 
 
 class TestValidators:
