@@ -12,7 +12,7 @@ from .registry import Rule
 
 SARIF_VERSION = "2.1.0"
 #: Every rule is documented in DESIGN.md §9; descriptors link there.
-_DOCS_URI = "DESIGN.md#9-static-analysis"
+_DOCS_URI = "DESIGN.md#9-static-invariants-reproanalysis--reprolint"
 SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"

@@ -383,9 +383,9 @@ def _run_cell(
     process handed the same (window slices, config, seed, cell)
     produces the bit-identical :class:`WindowResult` the serial loop
     would.  ``models`` is the chunk's failure-model dict
-    (:func:`plan_window` fills it).  Observability *events* are the
-    caller's job (:func:`_emit_cell`) so serial and parallel runs emit
-    the same stream from the parent process.
+    (:func:`plan_window` fills it).  The cell counters are the
+    caller's job (:func:`run_backtest`) so serial and parallel runs count
+    them in the parent process.
     """
     metrics = obs.get_metrics()
     stream = f"backtest:{window.index}:{app}:{deadline_name}"
@@ -439,32 +439,6 @@ def _run_cell(
         calibration=calibration,
         triggers=tuple(triggers),
     )
-
-
-def _emit_cell(result: WindowResult) -> None:
-    """Emit one cell's observability events/counters (parent side)."""
-    metrics = obs.get_metrics()
-    cell_key = f"{result.app}:{result.deadline_name}"
-    obs.emit(
-        "backtest.window",
-        time=result.window.plan_end,
-        key=cell_key,
-        window=result.window.index,
-        predicted_cost=result.predicted_cost,
-        realized_cost=result.realized_cost,
-        predicted_miss=result.predicted_miss,
-        realized_miss=result.realized_miss,
-    )
-    metrics.inc("backtest.cells")
-    for trig in result.triggers:
-        obs.emit(
-            "backtest.replan",
-            time=result.window.holdout_end,
-            key=cell_key,
-            window=result.window.index,
-            trigger=trig,
-        )
-        metrics.inc("backtest.replan_triggers")
 
 
 def _run_chunk(
@@ -592,13 +566,12 @@ def run_backtest(env, manifest: BacktestManifest, jobs=None) -> BacktestReport:
                 *splits[window.index], env.config, env.rng,
                 manifest.n_samples, window, app, deadlines[app],
             ))
-    # Events and counters are emitted here — after compute, in grid
-    # order — so serial and parallel runs produce the same stream.
-    cursor = 0
-    per_window = len(manifest.apps) * len(manifest.deadline_factors)
+    # Cell counters are counted here, in the parent, so serial and
+    # parallel runs count the same.
+    for result in results:
+        metrics.inc("backtest.cells")
+        for _trigger in result.triggers:
+            metrics.inc("backtest.replan_triggers")
     for _window in manifest.windows:
-        for result in results[cursor:cursor + per_window]:
-            _emit_cell(result)
-        cursor += per_window
         metrics.inc("backtest.windows")
     return BacktestReport(manifest=manifest, results=tuple(results))

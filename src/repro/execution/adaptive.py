@@ -118,7 +118,6 @@ class _RunState:
     frozen_models: object = None
     frozen_decision: object = None
     result: Optional[AdaptiveResult] = None
-    events: list = field(default_factory=list)  # buffered "window" emits
 
 
 @dataclass
@@ -251,11 +250,6 @@ class AdaptiveExecutor:
                 # sample's ledger/windows exactly as the scalar loop.
                 for job, outcome in zip(jobs, outcomes):
                     self._apply_window(job, outcome)
-        # Flush the buffered "window" events in input order — the order
-        # a scalar loop over the starts would have emitted them.
-        for st in states:
-            for time_, data in st.events:
-                obs.emit("window", time_, **data)
         return [st.result for st in states]
 
     def _begin_window(self, st: _RunState) -> Optional[_PendingWindow]:
@@ -362,16 +356,6 @@ class AdaptiveExecutor:
                 )
         used = tuple(
             str(sub.groups[g.group_index].key) for g in decision.groups
-        )
-        st.events.append(
-            (
-                st.now,
-                dict(
-                    index=index, t1=t1, cost=outcome.cost,
-                    gained=outcome.gained_fraction * left,
-                    completed=outcome.completed,
-                ),
-            )
         )
         if outcome.completed:
             st.windows.append(

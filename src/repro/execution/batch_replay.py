@@ -29,7 +29,7 @@ Results stay columnar: :func:`replay_window_batch` returns a
 :class:`WindowBatch` and :func:`replay_batch` a :class:`ReplayBatch`,
 one array per field.  A per-start :class:`~.results.RunResult` (or
 :class:`~.replay.WindowOutcome`) is built only when the batch is
-indexed or iterated — or, with tracing or auditing on, for every start
+indexed or iterated — or, with auditing on, for every start
 before :func:`replay_batch` returns, so :func:`observe_result` sees
 every result.  :func:`replay_window_batch` runs the same kernels over
 per-element windows and per-sample remaining work for the adaptive
@@ -676,9 +676,9 @@ def replay_batch(
     the trace scans batched across starts.  A decision without spot
     groups is a full on-demand run from each start.
 
-    With tracing or auditing on, every result is built and observed
-    before this returns, in start order; otherwise results are built
-    only when indexed.
+    With auditing on, every result is built and audited before this
+    returns, in start order; otherwise results are built only when
+    indexed.
     """
     if semantics not in SEMANTICS:
         raise ConfigurationError(
@@ -712,7 +712,7 @@ def replay_batch(
         semantics=semantics, account_storage=account_storage,
         start_time=starts, **columns,
     )
-    if obs.trace_active() or obs.audit_enabled():
+    if obs.audit_enabled():
         list(batch)  # build and observe every result now, in start order
     return batch
 

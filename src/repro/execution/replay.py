@@ -65,9 +65,9 @@ def checkpoint_write_times(
     checkpoints every ``min(interval, work) + O`` wall hours — *not* the
     raw decision interval, which drifts from the real schedule whenever
     it exceeds the remaining work (window replays of a nearly-done run).
-    Both the storage accounting and the ``checkpoint`` events of the
-    audit stream (:mod:`repro.obs`) derive from this list, so they
-    cannot disagree with each other or with the replay arithmetic.
+    The storage accounting and its audit (:mod:`repro.obs`) both derive
+    from this list, so they cannot disagree with each other or with the
+    replay arithmetic.
     """
     if rec.launch_time is None or rec.n_checkpoints <= 0:
         return []
@@ -140,16 +140,13 @@ def observe_result(
     semantics: str = "single-shot",
     account_storage: bool = False,
 ) -> RunResult:
-    """Emit events for and (in audit mode) verify one finished result.
+    """In audit mode, verify one finished result; return it unchanged.
 
     The exit point of every replayed result (the batched replay and
-    the scalar parity oracle both hand theirs through here), so derived
-    event streams compare like for like and the audit invariants guard
-    every result.  No-op beyond two flag checks when observability is
+    the scalar parity oracle both hand theirs through here), so the
+    audit invariants guard every result.  One flag check when audit is
     off.
     """
-    if obs.trace_active():
-        obs.emit_events(obs.derive_replay_events(problem, decision, result))
     if obs.audit_enabled():
         obs.audit_run_result(
             problem,

@@ -29,7 +29,7 @@ Audits run only when enabled, so the production path pays nothing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..cloud.billing import BillingPolicy, CONTINUOUS
 from ..errors import AuditError
@@ -240,14 +240,3 @@ def audit_adaptive_result(result) -> None:
         prev_after = w.fraction_after
         if w.cost < 0:
             _fail("adaptive-windows", f"window {w.index} negative cost {w.cost!r}")
-
-
-def assert_event_parity(
-    a: Sequence, b: Sequence, what: str = "event streams"
-) -> None:
-    """Assert two event streams are identical, with a useful diff."""
-    if len(a) != len(b):
-        _fail("event-parity", f"{what} differ in length: {len(a)} vs {len(b)}")
-    for i, (ea, eb) in enumerate(zip(a, b)):
-        if ea != eb:
-            _fail("event-parity", f"{what} diverge at event {i}: {ea} vs {eb}")

@@ -10,8 +10,8 @@ tests (``tests/test_batch_parity.py`` and friends) and the replay
 benchmark can demand bit-identical results from the kernels against an
 independent, sequential implementation.  It shares the checkpoint
 timeline helpers and the result exit point with production
-(:mod:`repro.execution.replay`), so event streams and audits compare
-like for like.
+(:mod:`repro.execution.replay`), so its results are audited like the
+kernels'.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ and through the full planning and replay pipeline.
 
 from __future__ import annotations
 
+import errno
 import os
 import subprocess
 import sys
@@ -429,66 +430,74 @@ class TestKernelTablesDiskTier:
         assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
 
 
+def _kernel_problem():
+    """Two groups on traces long enough for the kernels' disk tier."""
+    n = kernels._STORE_MIN_SEGMENTS
+    g1 = make_group(zone="us-east-1a", exec_time=8.0)
+    g2 = make_group(zone="us-east-1b", exec_time=8.0)
+    problem = Problem(
+        groups=(g1, g2),
+        ondemand_options=(
+            OnDemandOption(get_instance_type("c3.xlarge"), 8, 7.0),
+        ),
+        deadline=14.0,
+    )
+    history = SpotPriceHistory()
+    for seed, spec in enumerate((g1, g2)):
+        rng = np.random.default_rng(seed)
+        times = np.arange(n, dtype=np.float64) * 0.25
+        history.add(spec.key, SpotPriceTrace(
+            times, 0.01 + 0.02 * rng.random(n), float(n) * 0.25
+        ))
+    return problem, history
+
+
+def _plan_and_replay(problem, history, tmp_root):
+    plan = _plan(history, tmp_root, problem)
+    assert plan.decision.groups, "expected a spot-using plan"
+    starts = sample_start_times(
+        problem, plan.decision, history, 16, np.random.default_rng(5)
+    )
+    return plan, replay_batch(problem, plan.decision, history, starts)
+
+
+def _artifact_counters():
+    counters = obs.get_metrics().snapshot()["counters"]
+    return {
+        name: value for name, value in counters.items()
+        if name.startswith("cache.artifact_")
+    }
+
+
+def _isolate_store_env(tmp_path, monkeypatch):
+    """Every other place a store could resolve to lives in tmp_path."""
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.chdir(tmp_path)
+
+
 class TestDiskOffSwitch:
     """``REPRO_ARTIFACT_DIR=""`` turns off every disk tier at once: the
     planner's bundles and sidecar, and the kernels' trace/bid tables."""
 
-    def _setup(self):
-        n = kernels._STORE_MIN_SEGMENTS
-        g1 = make_group(zone="us-east-1a", exec_time=8.0)
-        g2 = make_group(zone="us-east-1b", exec_time=8.0)
-        problem = Problem(
-            groups=(g1, g2),
-            ondemand_options=(
-                OnDemandOption(get_instance_type("c3.xlarge"), 8, 7.0),
-            ),
-            deadline=14.0,
-        )
-        history = SpotPriceHistory()
-        for seed, spec in enumerate((g1, g2)):
-            rng = np.random.default_rng(seed)
-            times = np.arange(n, dtype=np.float64) * 0.25
-            history.add(spec.key, SpotPriceTrace(
-                times, 0.01 + 0.02 * rng.random(n), float(n) * 0.25
-            ))
-        return problem, history
-
-    def _run(self, problem, history, tmp_root):
-        plan = _plan(history, tmp_root, problem)
-        assert plan.decision.groups, "expected a spot-using plan"
-        starts = sample_start_times(
-            problem, plan.decision, history, 16, np.random.default_rng(5)
-        )
-        return plan, replay_batch(problem, plan.decision, history, starts)
-
     def test_empty_env_writes_nothing_and_matches_warm_store(
         self, tmp_path, monkeypatch
     ):
-        # Every other place a store could resolve to lives in tmp_path.
-        monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        monkeypatch.chdir(tmp_path)
+        _isolate_store_env(tmp_path, monkeypatch)
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, "")
-        problem, history = self._setup()
+        problem, history = _kernel_problem()
 
-        def artifact_counters():
-            counters = obs.get_metrics().snapshot()["counters"]
-            return {
-                name: value for name, value in counters.items()
-                if name.startswith("cache.artifact_")
-            }
-
-        before = artifact_counters()
-        off_plan, off_runs = self._run(problem, history, None)
+        before = _artifact_counters()
+        off_plan, off_runs = _plan_and_replay(problem, history, None)
         assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
-        assert artifact_counters() == before  # no disk event counted
+        assert _artifact_counters() == before  # no disk event counted
 
         # The same run on a private store, cold (writes both planner and
         # kernel artifacts) and then warm from disk.
         store_dir = tmp_path / "store"
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(store_dir))
         clear_shared_caches()
-        self._run(problem, history, None)
+        _plan_and_replay(problem, history, None)
         root = ArtifactStore(store_dir).root
         kinds = {
             p.relative_to(root).parts[0]
@@ -497,10 +506,61 @@ class TestDiskOffSwitch:
         assert {"group_tables", "trace_bid"} <= kinds
         clear_shared_caches()
         hits = obs.get_metrics().get("cache.artifact_hits.trace_bid")
-        warm_plan, warm_runs = self._run(problem, history, None)
+        warm_plan, warm_runs = _plan_and_replay(problem, history, None)
         assert obs.get_metrics().get("cache.artifact_hits.trace_bid") > hits
         _assert_same_plan(off_plan, warm_plan)
         assert off_runs == warm_runs  # exact, field by field
+
+
+class TestWriteFaults:
+    """The write row of the fault matrix: on a read-only or full store
+    directory every ``save`` is a counted ``False`` that leaves no temp
+    file behind, and planning and replay give exactly the results of
+    the disk tier switched off.  The filesystem calls are patched, not
+    the directory ``chmod``-ed, because root ignores file modes."""
+
+    @pytest.mark.parametrize("call", ["mkstemp", "replace"])
+    @pytest.mark.parametrize(
+        "code", [errno.EROFS, errno.ENOSPC], ids=["EROFS", "ENOSPC"]
+    )
+    def test_failed_writes_match_disk_off(
+        self, tmp_path, monkeypatch, code, call
+    ):
+        _isolate_store_env(tmp_path, monkeypatch)
+        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, "")
+        problem, history = _kernel_problem()
+        off_plan, off_runs = _plan_and_replay(problem, history, None)
+
+        def fail(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        if call == "mkstemp":
+            monkeypatch.setattr(artifacts.tempfile, "mkstemp", fail)
+        else:
+            monkeypatch.setattr(artifacts.os, "replace", fail)
+        store_dir = tmp_path / "store"
+        assert ArtifactStore(store_dir).save(
+            "k", "ab" + "1" * 62, {"x": np.arange(4.0)}
+        ) is False
+
+        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(store_dir))
+        clear_shared_caches()
+        before = _artifact_counters()
+        plan, runs = _plan_and_replay(problem, history, None)
+        _assert_same_plan(off_plan, plan)
+        assert off_runs == runs  # exact, field by field
+
+        counted = {
+            name: value - before.get(name, 0)
+            for name, value in _artifact_counters().items()
+            if value != before.get(name, 0)
+        }
+        prefix = "cache.artifact_write_errors."
+        failed = {name[len(prefix):] for name in counted if name.startswith(prefix)}
+        assert {"group_tables", "trace_bid"} <= failed
+        assert not any(n.startswith("cache.artifact_writes.") for n in counted)
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
 
 
 class TestEviction:

@@ -234,13 +234,29 @@ class TestRunBacktest:
             assert 0.0 <= b["realized"] <= 1.0
 
     def test_events_emitted(self, mini_report):
-        env, manifest, _report = mini_report
-        with obs.tracing() as trace:
-            run_backtest(_mini_env(), manifest)
-        kinds = {e.kind for e in trace.events()}
-        assert "backtest.window" in kinds
-        window_events = [e for e in trace.events() if e.kind == "backtest.window"]
-        assert len(window_events) == len(manifest.windows)
+        """Each finished cell, window and re-plan trigger is counted."""
+        _env, manifest, report = mini_report
+        metrics = obs.get_metrics()
+        before = {
+            name: metrics.get(name)
+            for name in ("backtest.cells", "backtest.windows",
+                         "backtest.replan_triggers")
+        }
+        run_backtest(_mini_env(), manifest)
+        n_cells = len(manifest.windows) * len(manifest.apps) * len(
+            manifest.deadline_factors
+        )
+        assert len(report.results) == n_cells
+        assert metrics.get("backtest.cells") - before["backtest.cells"] == n_cells
+        assert (
+            metrics.get("backtest.windows") - before["backtest.windows"]
+            == len(manifest.windows)
+        )
+        assert (
+            metrics.get("backtest.replan_triggers")
+            - before["backtest.replan_triggers"]
+            == sum(len(r.triggers) for r in report.results)
+        )
 
     def test_holdout_shorter_than_horizon_raises(self):
         env = _mini_env()

@@ -1,11 +1,11 @@
-"""Tests for :mod:`repro.obs` — metrics, event tracing, audit invariants.
+"""Tests for :mod:`repro.obs` — metrics and audit invariants.
 
 The observability layer is the tripwire that keeps cost-accounting
 drift out of the replay/adaptive paths: these tests exercise the
-registry and the ring buffer directly, then drive real replays with
-tracing and audit switched on and assert the derived event stream, the
-ledger text, and the conservation invariants all agree — scalar vs
-batched, window vs full run, continuous vs hourly billing.
+metrics registry directly, then drive real replays with audit switched
+on and assert the group records, the ledger text, and the conservation
+invariants all agree — scalar vs batched, window vs full run,
+continuous vs hourly billing.
 """
 
 import dataclasses
@@ -123,94 +123,58 @@ class TestMetrics:
         assert obs.get_metrics().get("replay.batch_starts") == before + 1
 
 
-class TestEventTrace:
-    def test_ring_bounds_memory_but_counts_all(self):
-        trace = obs.EventTrace(capacity=3)
-        for k in range(5):
-            trace.emit("launch", float(k), "m1.small/us-east-1a")
-        assert len(trace) == 3
-        assert trace.emitted == 5
-        assert [e.time for e in trace.events()] == [2.0, 3.0, 4.0]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            obs.EventTrace().emit("explosion", 0.0)
-
-    def test_jsonl_sink(self, tmp_path):
-        import json
-
-        path = tmp_path / "events.jsonl"
-        with obs.EventTrace(jsonl_path=str(path)) as trace:
-            trace.emit("launch", 1.0, "k", bid=0.1)
-            trace.emit("death", 2.0, "k", saved=0.5)
-        lines = [json.loads(s) for s in path.read_text().splitlines()]
-        assert lines == [
-            {"kind": "launch", "time": 1.0, "key": "k", "bid": 0.1},
-            {"kind": "death", "time": 2.0, "key": "k", "saved": 0.5},
-        ]
-
-    def test_emit_is_noop_without_installed_trace(self):
-        assert not obs.trace_active()
-        obs.emit("launch", 0.0, "k")  # must not raise or record anywhere
-
-
 class TestEventStream:
+    """What happened to a replayed run — launch, checkpoints, death,
+    completion, fallback — read from its group records and ledger."""
+
     def test_completion_run_tells_the_whole_story(self):
         problem, h = flat_setup(image_gb=45.0)
-        with obs.tracing() as trace:
-            result = replay_decision(
-                problem, ONE_GROUP, h, 0.0, account_storage=True
-            )
-        kinds = [e.kind for e in trace.events()]
-        assert kinds == ["launch", "checkpoint", "checkpoint", "complete"]
-        rec = result.group_records[0]
-        ckpt_times = [e.time for e in trace.events() if e.kind == "checkpoint"]
-        assert ckpt_times == checkpoint_write_times(
+        result = replay_decision(problem, ONE_GROUP, h, 0.0, account_storage=True)
+        (rec,) = result.group_records
+        assert rec.launched and rec.launch_time == 0.0
+        assert rec.completed and not rec.terminated
+        assert result.completed_by == str(problem.groups[0].key)
+        writes = checkpoint_write_times(
             problem.groups[0], ONE_GROUP.groups[0].interval, rec
         )
+        assert rec.n_checkpoints == 2
+        assert len(writes) == 2
+        assert rec.launch_time < writes[0] < writes[1] < rec.end_time
 
     def test_storage_ledger_matches_event_stream(self):
-        """Satellite 1 regression: GB-hours re-derived from the audited
-        checkpoint events must equal the storage ledger line."""
+        """GB-hours re-derived from the checkpoint-write timeline must
+        equal the storage ledger line."""
         problem, h = flat_setup(image_gb=73.0)
-        with obs.tracing() as trace:
-            result = replay_decision(
-                problem, ONE_GROUP, h, 0.0, account_storage=True
-            )
-        writes = [e.time for e in trace.events() if e.kind == "checkpoint"]
+        result = replay_decision(problem, ONE_GROUP, h, 0.0, account_storage=True)
+        writes = checkpoint_write_times(
+            problem.groups[0], ONE_GROUP.groups[0].interval,
+            result.group_records[0],
+        )
+        assert writes
         run_end = result.start_time + result.makespan
         gb_hours = sum(
             73.0 * (nxt - t)
             for t, nxt in zip(writes, writes[1:] + [run_end])
         )
         expected = gb_hours * 0.03 / 730.0
-        assert result.ledger.total("storage") == pytest.approx(expected)
+        (line,) = [i for i in result.ledger.items if i.category == "storage"]
+        assert line.dollars == pytest.approx(expected)
 
     def test_death_and_fallback_events(self):
         problem, h = spike_setup()
-        with obs.tracing() as trace:
-            result = replay_decision(problem, ONE_GROUP, h, 0.0)
+        result = replay_decision(problem, ONE_GROUP, h, 0.0)
         assert result.completed_by == "ondemand"
-        kinds = [e.kind for e in trace.events()]
-        assert "death" in kinds and "fallback" in kinds
-        fallback = [e for e in trace.events() if e.kind == "fallback"][0]
-        data = dict(fallback.data)
-        assert fallback.key == "ondemand"
-        assert data["hours"] == pytest.approx(result.ondemand_hours)
-        assert data["cost"] == pytest.approx(result.ledger.total("ondemand"))
-
-    def test_scalar_and_batch_streams_identical(self):
-        problem, h = spike_setup()
-        starts = np.array([0.0, 0.5, 1.0, 2.5, 4.0])
-        with obs.tracing() as ta:
-            scalar = [
-                scalar_replay.replay_decision(problem, ONE_GROUP, h, float(t))
-                for t in starts
-            ]
-        with obs.tracing() as tb:
-            batched = replay_batch(problem, ONE_GROUP, h, starts)
-        assert len(scalar) == len(batched)
-        obs.assert_event_parity(ta.events(), tb.events())
+        (rec,) = result.group_records
+        assert rec.launched and rec.terminated and not rec.completed
+        assert rec.end_time == pytest.approx(3.0)
+        (line,) = [i for i in result.ledger.items if i.category == "ondemand"]
+        od = problem.ondemand_options[ONE_GROUP.ondemand_index]
+        assert result.ondemand_hours > 0.0
+        assert line.dollars == pytest.approx(result.ondemand_hours * od.fleet_rate)
+        assert line.dollars == result.ledger.total("ondemand")
+        # The recovery starts when the last spot group dies.
+        od_start = result.start_time + result.makespan - result.ondemand_hours
+        assert od_start == pytest.approx(rec.end_time)
 
 
 class TestAuditRunResult:

@@ -133,8 +133,8 @@ class TestBatchedReplayIdentical:
 class TestObservabilityTransparent:
     def test_observability_off_is_bit_identical(self, env, planned):
         """The repro.obs layer observes results on the way out; it must
-        never perturb them.  Replays with tracing and audit fully on are
-        compared field by field against plain replays (DESIGN.md §7)."""
+        never perturb them.  Replays with audit on are compared field by
+        field against plain replays (DESIGN.md §7)."""
         problem, plan = planned
         starts = sample_start_times(
             problem, plan.decision, env.history, 60,
@@ -144,7 +144,7 @@ class TestObservabilityTransparent:
             replay_decision(problem, plan.decision, env.history, float(t))
             for t in starts
         ]
-        with obs.audited(), obs.tracing():
+        with obs.audited():
             observed = [
                 replay_decision(problem, plan.decision, env.history, float(t))
                 for t in starts
