@@ -177,14 +177,13 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 def _warm_artifacts(args: argparse.Namespace, root: Path) -> None:
     """Pre-populate the store: plan every requested (app, deadline) cell.
 
-    Planning writes the planner's disk artifacts — search sidecar
-    parts, group tables, survival grids — keyed by trace content +
-    engine fingerprint, so any later process over the same history (CI
-    test shards, benches, experiment runs) starts disk-warm instead of
-    recomputing them.  A plan that computes nothing new writes nothing,
-    so re-warming a warm store leaves its file count unchanged.
-    Trace/bid index tables are not among them: planning never replays,
-    so those are written by the first replay.
+    Planning writes every disk artifact there is — search sidecar
+    parts and group-table bundles with their survival grids — keyed by
+    trace content + engine fingerprint, so any later process over the
+    same history (CI test shards, benches, experiment runs) starts
+    disk-warm instead of recomputing them.  A plan that computes nothing
+    new writes nothing, so re-warming a warm store leaves its file count
+    unchanged.
     """
     from .experiments.env import LOOSE_DEADLINE_FACTOR, TIGHT_DEADLINE_FACTOR
 

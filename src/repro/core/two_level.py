@@ -37,15 +37,16 @@ results are bit-identical whether the caches are cold or warm.
 Disk tier (DESIGN.md §10): every shared cache entry is keyed by a
 *content token* — a hash of the trace content plus every scalar that
 enters the computation — so keys survive process boundaries.  The
-per-problem table bundle, the survival grids and the search sidecar
-(subset score vectors + exact re-evaluations) are persisted to the
-on-disk artifact store (:mod:`repro.execution.artifacts`) at
-``config.artifact_dir``: a cold process warms from disk instead of
-rebuilding.  The sidecar is written in parts: each optimizer saves only
-the entries it computed itself, and a load merges every part of the
-scope.  Loads are fail-open and artifacts store the exact float64
-arrays the build produced, so results are bit-identical with the store
-on, off (``REPRO_ARTIFACT_DIR=""``), deleted or corrupted mid-run.
+per-problem table bundle (with each group's survival grids) and the
+search sidecar (subset score vectors + exact re-evaluations) are
+persisted to the on-disk artifact store
+(:mod:`repro.execution.artifacts`) at ``config.artifact_dir``: a cold
+process warms from disk instead of rebuilding.  The sidecar is written
+in parts: each optimizer saves only the entries it computed itself, and
+a load merges every part of the scope.  Loads are fail-open and
+artifacts store the exact float64 arrays the build produced, so results
+are bit-identical with the store on, off (``REPRO_ARTIFACT_DIR=""``),
+deleted or corrupted mid-run.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ _EXACT_EVAL_CACHE_MAX = 65536
 _SIDECAR_LOADED: set = set()
 
 
-# Other layers (e.g. the replay kernels' per-(trace, bid) index tables)
+# Other layers (the artifact-store handles, the shared worker pool)
 # register their cache clearers here so clear_shared_caches() stays the
 # single switch for "drop every shared cache" without this module having
 # to import them (which would cycle).
@@ -393,9 +394,16 @@ class TwoLevelOptimizer:
             wall_max=wall_max,
         )
 
-    def _raw_entries(self) -> dict[int, _RawGroupEntry]:
-        """Per-group entries through all three tiers: process memory,
-        disk bundle, fresh build (saving the bundle for next time)."""
+    def _build_tables(self) -> None:
+        """Build all group tables and the shared quadrature grids.
+
+        Entries and their survival grids come through three tiers:
+        process memory, the disk bundle, a fresh build.  The bundle is
+        loaded at most once and saved once, only when something was
+        built, so a warm re-plan writes nothing.
+        """
+        if self._grids_ready:
+            return
         cfg = self.config
         metrics = obs.get_metrics()
         specs = list(enumerate(self.problem.groups))
@@ -414,14 +422,19 @@ class TwoLevelOptimizer:
                 metrics.inc("cache.table_misses")
                 tokens.append(self._group_token(self._models[i], spec))
 
-        missing = [i for i, _ in specs if i not in entries]
         store = self._store
         bundle_key = None
-        if missing and store is not None:
+        arrays = None
+
+        def load_bundle():
             from ..execution.artifacts import engine_fingerprint
 
-            bundle_key = hash_key(tuple(tokens), engine_fingerprint())
-            arrays = store.load("group_tables", bundle_key)
+            key = hash_key(tuple(tokens), engine_fingerprint())
+            return key, store.load("group_tables", key)
+
+        missing = [i for i, _ in specs if i not in entries]
+        if missing and store is not None:
+            bundle_key, arrays = load_bundle()
             if arrays is not None:
                 for i in missing:
                     entry = _entry_from_arrays(
@@ -434,6 +447,7 @@ class TwoLevelOptimizer:
                     _RAW_TABLE_CACHE[self._models[i]][keys[i]] = entry
                 missing = [i for i, _ in specs if i not in entries]
 
+        built = bool(missing)
         if missing:
             bid_rows = grid_eval.bid_matrix_rows(
                 [self._models[i].max_price() for i in missing],
@@ -447,65 +461,32 @@ class TwoLevelOptimizer:
                 )
                 entries[i] = entry
                 _RAW_TABLE_CACHE[self._models[i]][keys[i]] = entry
-            if bundle_key is not None:
-                arrays = {}
-                for i, _ in specs:
-                    arrays.update(_entry_to_arrays(entries[i], f"g{i}_"))
-                store.save("group_tables", bundle_key, arrays)
-        return entries
 
-    def _build_tables(self) -> None:
-        """Build all group tables and the shared quadrature grids."""
-        if self._grids_ready:
-            return
-        entries = self._raw_entries()
-        wall_hi = 0.0
-        for entry in entries.values():
-            wall_hi = max(wall_hi, entry.wall_max)
-
-        wall_hi = max(wall_hi, 1e-9)
+        # wall_hi is a function of the entries, hence of the bundle key:
+        # the bundle's grid columns always belong to this grid.
+        wall_hi = max([e.wall_max for e in entries.values()] + [1e-9])
         ratio_mid = (np.arange(_RATIO_GRID) + 0.5) / _RATIO_GRID  # over [0, 1]
         wall_mid = (np.arange(_WALL_GRID) + 0.5) * (wall_hi / _WALL_GRID)
         self._ratio_delta = 1.0 / _RATIO_GRID
         self._wall_delta = wall_hi / _WALL_GRID
         self._wall_hi = wall_hi
 
-        grids_map: dict[int, tuple] = {}
-        for i, entry in entries.items():
-            cached = entry.grids.get(wall_hi)
-            if cached is not None:
-                grids_map[i] = cached
-        missing = [i for i in entries if i not in grids_map]
-        store = self._store
-        grids_key = None
-        if missing and store is not None:
-            from ..execution.artifacts import engine_fingerprint
-
-            grids_key = hash_key(
-                tuple(entries[i].token for i in sorted(entries)),
-                wall_hi, _RATIO_GRID, _WALL_GRID, engine_fingerprint(),
-            )
-            arrays = store.load("surv_grids", grids_key)
-            if arrays is not None and all(
-                f"g{i}_ratio" in arrays
-                and f"g{i}_wall" in arrays
-                and arrays[f"g{i}_ratio"].shape
-                == (entries[i].bids.size, _RATIO_GRID)
-                and arrays[f"g{i}_wall"].shape
-                == (entries[i].bids.size, _WALL_GRID)
-                for i in missing
+        missing = [i for i in entries if wall_hi not in entries[i].grids]
+        if missing and store is not None and bundle_key is None:
+            bundle_key, arrays = load_bundle()
+        for i in missing:
+            entry = entries[i]
+            nb = entry.bids.size
+            surv_ratio = surv_wall = None
+            if arrays is not None:
+                surv_ratio = arrays.get(f"g{i}_surv_ratio")
+                surv_wall = arrays.get(f"g{i}_surv_wall")
+            if (
+                surv_ratio is None or surv_wall is None
+                or surv_ratio.shape != (nb, _RATIO_GRID)
+                or surv_wall.shape != (nb, _WALL_GRID)
             ):
-                for i in missing:
-                    surv_wall = arrays[f"g{i}_wall"]
-                    grids = (arrays[f"g{i}_ratio"], surv_wall, 1.0 - surv_wall)
-                    grids_map[i] = grids
-                    entries[i].grids[wall_hi] = grids
-                missing = []
-
-        if missing:
-            for i in missing:
-                entry = entries[i]
-                nb = entry.bids.size
+                built = True
                 surv_ratio = np.empty((nb, _RATIO_GRID))
                 surv_wall = np.empty((nb, _WALL_GRID))
                 for b in range(nb):
@@ -514,17 +495,18 @@ class TwoLevelOptimizer:
                     )
                     surv_ratio[b] = survival_at(ratio_m, ratio_mid)
                     surv_wall[b] = survival_at(wall_m, wall_mid)
-                grids_map[i] = (surv_ratio, surv_wall, 1.0 - surv_wall)
-                entry.grids[wall_hi] = grids_map[i]
-            if grids_key is not None:
-                arrays = {}
-                for i in entries:
-                    arrays[f"g{i}_ratio"] = grids_map[i][0]
-                    arrays[f"g{i}_wall"] = grids_map[i][1]
-                store.save("surv_grids", grids_key, arrays)
+            entry.grids[wall_hi] = (surv_ratio, surv_wall, 1.0 - surv_wall)
+
+        if built and store is not None:
+            arrays = {}
+            for i, entry in entries.items():
+                arrays.update(_entry_to_arrays(entry, f"g{i}_"))
+                surv_ratio, surv_wall, _below = entry.grids[wall_hi]
+                arrays[f"g{i}_surv_ratio"] = surv_ratio
+                arrays[f"g{i}_surv_wall"] = surv_wall
+            store.save("group_tables", bundle_key, arrays)
 
         for i, entry in entries.items():
-            grids = grids_map[i]
             self._tables[i] = _GroupTable(
                 i,
                 entry.bids,
@@ -532,7 +514,7 @@ class TwoLevelOptimizer:
                 entry.outcomes,
                 entry.e_spot,
                 entry.e_ratio,
-                *grids,
+                *entry.grids[wall_hi],
                 entry.token,
                 entry.marginals,
             )

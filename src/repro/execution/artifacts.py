@@ -1,11 +1,11 @@
-"""On-disk artifact store for planner and kernel tables (DESIGN.md §10).
+"""On-disk artifact store for planner tables (DESIGN.md §10).
 
-The per-(trace, bid) launch/death index tables built by
-:mod:`.kernels`, and the per-group bid/interval/outcome tables, survival
-grids and search sidecar built by :mod:`repro.core.two_level`, are pure
-functions of trace *content* plus a handful of scalar parameters.  This
-module is the disk tier under those in-memory caches, so a cold process
-warms from files instead of rebuilding:
+The per-group bid/interval/outcome tables with their survival grids
+(kind ``group_tables``) and the search sidecar (``search_sidecar``),
+both built by :mod:`repro.core.two_level`, are pure functions of trace
+*content* plus a handful of scalar parameters.  This module is the disk
+tier under those in-memory caches, so a cold process warms from files
+instead of rebuilding:
 
 * **Keying** — every artifact key is a SHA-256 over (a) the content
   hash of each participating trace, (b) every scalar parameter that

@@ -3,11 +3,10 @@
 Every replay — one start (:func:`repro.execution.replay.replay_decision`)
 or a Monte-Carlo batch — runs here.  Monte-Carlo evaluation replays the
 *same decision* from hundreds of starting points, so the per-(trace,
-bid) next-launch / next-death segment indices are precomputed once (and
-served from the shared cache in :mod:`.kernels`) and every start is
-resolved with a ``searchsorted`` — all launches, deaths, progress
-computations and the completion cut-back pass become array operations
-over the whole batch.
+bid) next-launch / next-death segment indices are built once per batch
+(:func:`.kernels.trace_tables`) and every start is resolved with a
+``searchsorted`` — all launches, deaths, progress computations and the
+completion cut-back pass become array operations over the whole batch.
 
 Both spot semantics are batched: the single-shot kernel resolves each
 group's one launch/death per start in a single array pass, and the

@@ -8,13 +8,8 @@ here:
   (segment times with a ``+inf`` sentinel, the below-bid mask, and the
   next-launch / next-death segment indices) that resolves every
   ``first_at_or_below`` / ``first_exceedance`` query in O(log n) instead
-  of an O(n) suffix scan.  The planner and the Monte-Carlo evaluator
-  replay the *same* (trace, bid) pairs thousands of times, so the tables
-  are promoted into a shared cache alongside the planner's group-table
-  caches: always on (the cache is exact, so a cold and a warm lookup
-  return identical tables), cleared by
-  :func:`repro.core.two_level.clear_shared_caches`, and evicted
-  automatically when the trace is garbage collected.
+  of an O(n) suffix scan.  They are built once per batch, not cached:
+  a build costs far less than the batch that uses it.
 
 * **Batch spot billing** — :func:`billed_cost_batch` bills a whole
   array of run windows under either billing policy, bitwise equal per
@@ -33,12 +28,10 @@ here:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.two_level import register_cache_clearer
 from ..errors import TraceError
 
 #: Scalar reference for every public kernel: each entry pairs a
@@ -82,8 +75,15 @@ def _next_index(mask: np.ndarray) -> np.ndarray:
     return np.concatenate([nxt, [n]])
 
 
-def _build_tables(trace, bid: float) -> TraceBidTables:
-    below = trace.prices <= bid
+def trace_tables(trace, bid: float) -> TraceBidTables:
+    """The (trace, bid) index tables, built afresh on every call.
+
+    A build is a few array passes over the trace (medians of 13 us at
+    140 segments and 100 us at 5,300 on a 2-vCPU Xeon VM), far less
+    than the batch replay that resolves its launches and deaths
+    against it.
+    """
+    below = trace.prices <= float(bid)
     return TraceBidTables(
         times=trace.times,
         times_ext=np.concatenate([trace.times, [np.inf]]),
@@ -91,130 +91,6 @@ def _build_tables(trace, bid: float) -> TraceBidTables:
         nxt_below_ext=_next_index(below),
         nxt_above_ext=_next_index(~below),
     )
-
-
-# The cache is keyed by (id(trace), bid): traces are immutable value
-# objects but define __eq__ without __hash__, so identity is the right
-# key — and a weakref finalizer evicts the entry the moment the trace
-# dies, which means there are no invalidation rules to get wrong (a new
-# trace is a new identity, exactly like the planner's per-model caches).
-_TABLE_CACHE: dict[tuple[int, float], TraceBidTables] = {}
-_TABLE_FINALIZERS: dict[int, object] = {}
-
-#: Disk tier cutoff: below this many segments, rebuilding the tables is
-#: no slower than reading them back, so small traces never touch the
-#: artifact store (the memory tier still serves repeats).  Medians on a
-#: 2-vCPU VM (CPython 3.11.7, random prices, one bid): at 4096 segments
-#: a store load takes 117-119 us and a rebuild 119-126 us, the
-#: break-even; at 16384 a load takes 294-327 us against a 785-823 us
-#: rebuild.  (The npz format of ``ARTIFACT_VERSION`` 1 took 562-646 us
-#: to load at 4096.)  A save costs about 1 ms, once per (trace, bid).
-_STORE_MIN_SEGMENTS = 4096
-
-
-def _artifact_io(trace, bid: float):
-    """(store, key) for this pair, or ``(None, None)`` when the disk
-    tier is off (``REPRO_ARTIFACT_DIR=""``, or the trace is too small to
-    pay for a round-trip)."""
-    if trace.prices.size < _STORE_MIN_SEGMENTS:
-        return None, None
-    from .artifacts import engine_fingerprint, get_store
-
-    store = get_store(None)
-    if store is None:
-        return None, None
-    from ..core.keys import hash_key
-
-    return store, hash_key(
-        trace.content_hash(), float(bid), engine_fingerprint()
-    )
-
-
-def _tables_from_store(trace, bid: float) -> TraceBidTables | None:
-    """Reload the (trace, bid) tables from disk; ``None`` on any miss.
-
-    Only the bid-dependent arrays are persisted — ``times`` /
-    ``times_ext`` are rebuilt from the trace itself, which is exact
-    because the artifact key embeds the trace *content* hash.
-    """
-    store, key = _artifact_io(trace, bid)
-    if store is None:
-        return None
-    arrays = store.load("trace_bid", key)
-    if arrays is None:
-        return None
-    n = trace.prices.size
-    below = arrays.get("below")
-    nxt_below = arrays.get("nxt_below_ext")
-    nxt_above = arrays.get("nxt_above_ext")
-    if (
-        below is None or nxt_below is None or nxt_above is None
-        or below.shape != (n,) or below.dtype != np.bool_
-        or nxt_below.shape != (n + 1,) or nxt_above.shape != (n + 1,)
-    ):
-        return None
-    return TraceBidTables(
-        times=trace.times,
-        times_ext=np.concatenate([trace.times, [np.inf]]),
-        below=below,
-        nxt_below_ext=nxt_below,
-        nxt_above_ext=nxt_above,
-    )
-
-
-def _tables_to_store(trace, bid: float, tables: TraceBidTables) -> None:
-    store, key = _artifact_io(trace, bid)
-    if store is not None:
-        store.save("trace_bid", key, {
-            "below": tables.below,
-            "nxt_below_ext": tables.nxt_below_ext,
-            "nxt_above_ext": tables.nxt_above_ext,
-        })
-
-
-def _evict_trace(trace_id: int) -> None:
-    _TABLE_FINALIZERS.pop(trace_id, None)
-    for key in [k for k in _TABLE_CACHE if k[0] == trace_id]:
-        del _TABLE_CACHE[key]
-
-
-def clear_table_cache() -> None:
-    """Drop every cached (trace, bid) table (tests, memory pressure)."""
-    _TABLE_CACHE.clear()
-    for fin in _TABLE_FINALIZERS.values():
-        fin.detach()
-    _TABLE_FINALIZERS.clear()
-
-
-register_cache_clearer(clear_table_cache)
-
-
-def table_cache_size() -> int:
-    return len(_TABLE_CACHE)
-
-
-def trace_tables(trace, bid: float) -> TraceBidTables:
-    """The (trace, bid) index tables, served from the shared cache.
-
-    Two tiers: the in-process ``_TABLE_CACHE`` above, then (for traces
-    with at least ``_STORE_MIN_SEGMENTS`` segments) the on-disk
-    artifact store keyed by trace content + engine fingerprint, so a
-    cold process skips the build for big markets.  Results are
-    identical on every tier, cold or warm.
-    """
-    key = (id(trace), float(bid))
-    tables = _TABLE_CACHE.get(key)
-    if tables is None:
-        tables = _tables_from_store(trace, float(bid))
-        if tables is None:
-            tables = _build_tables(trace, float(bid))
-            _tables_to_store(trace, float(bid), tables)
-        _TABLE_CACHE[key] = tables
-        if key[0] not in _TABLE_FINALIZERS:
-            _TABLE_FINALIZERS[key[0]] = weakref.finalize(
-                trace, _evict_trace, key[0]
-            )
-    return tables
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ fanning starts out measured slower than serial (DESIGN.md §12).  Before
 this module, each parallel entry point paid its own process-level cold
 start on *every call*.  The spawn itself is cheap only on ``fork``
 platforms; under ``spawn`` every worker re-imports numpy and the whole
-engine, and either way every new worker rebuilds its kernel index
-tables, group tables and artifact-store handle from nothing.
+engine, and either way every new worker rebuilds its group tables
+and artifact-store handle from nothing.
 
 :class:`WorkerPool` amortizes all of that:
 
@@ -22,7 +22,7 @@ tables, group tables and artifact-store handle from nothing.
   engine imports and opens the artifact store handle (whose first-open
   eviction scan would otherwise land in the first task), so the first
   real task starts disk-warm.  Per-scope tables (search sidecar
-  parts, group tables, trace/bid index tables) then load lazily from
+  parts, group tables with their survival grids) then load lazily from
   the warm store and stay in the worker's in-memory caches for its
   whole lifetime — a worker that planned a window once serves the next
   request for it from memory.  That is why the backtest submits one
@@ -57,7 +57,7 @@ from typing import Optional
 
 from .. import obs
 from ..core.two_level import register_cache_clearer
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 
 __all__ = [
     "WorkerPool",
@@ -109,8 +109,8 @@ def _warm_worker() -> None:
     of a ``spawn`` worker's startup) and opens the artifact-store
     handle, which runs the store's first-open eviction pass here
     instead of inside the first submitted task.  The per-scope tables
-    themselves (search sidecar parts, group tables, trace/bid index
-    tables) load lazily from the warm store on first use and then live
+    themselves (search sidecar parts, group tables with their survival
+    grids) load lazily from the warm store on first use and then live
     in this worker's in-memory caches for its whole lifetime.
 
     A worker that fails to warm is still a correct worker — warming is
@@ -191,10 +191,19 @@ class WorkerPool:
 
         Submission order == gather order, so callers that pre-draw
         their randomness get byte-identical output regardless of which
-        worker ran which payload.
+        worker ran which payload.  A worker that dies mid-task breaks
+        the executor: the call raises :class:`ReproError` and the pool
+        respawns on its next submit.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         futures = [self.submit(fn, *payload) for payload in payloads]
-        return [future.result() for future in futures]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            obs.get_metrics().inc("pool.broken")
+            self.close(wait=False)
+            raise ReproError(f"a pool worker died mid-task: {exc}") from exc
 
     def close(self, wait: bool = True) -> None:
         """Shut the executor down (idempotent).

@@ -28,10 +28,8 @@ class SpotPriceTrace:
         End of the observation window; must exceed ``times[-1]``.
     """
 
-    # __weakref__ lets the replay kernels key their shared per-(trace,
-    # bid) index tables on trace identity with weakref-based eviction;
     # _chash caches the content hash used by the on-disk artifact store.
-    __slots__ = ("times", "prices", "end_time", "_chash", "__weakref__")
+    __slots__ = ("times", "prices", "end_time", "_chash")
 
     def __init__(
         self,

@@ -30,31 +30,18 @@ def derive_seed(root_seed: int, name: str) -> int:
 
 
 class RngRegistry:
-    """Factory and cache of named :class:`numpy.random.Generator` streams."""
+    """Factory of named :class:`numpy.random.Generator` streams."""
 
     def __init__(self, root_seed: int = 0) -> None:
         self.root_seed = int(root_seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use."""
-        gen = self._streams.get(name)
-        if gen is None:
-            gen = np.random.default_rng(derive_seed(self.root_seed, name))
-            self._streams[name] = gen
-        return gen
 
     def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for ``name`` (not cached).
+        """Return a *new* generator for ``name``.
 
-        Use when a component must be re-runnable from its initial state,
-        e.g. each Monte-Carlo replication.
+        Every call starts the stream from its initial state, so what a
+        component draws never depends on what was drawn before it.
         """
         return np.random.default_rng(derive_seed(self.root_seed, name))
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """Create a child registry rooted at a derived seed."""
-        return RngRegistry(derive_seed(self.root_seed, name))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RngRegistry(root_seed={self.root_seed}, streams={sorted(self._streams)})"
+        return f"RngRegistry(root_seed={self.root_seed})"

@@ -24,7 +24,7 @@ from repro.config import SompiConfig
 from repro.core.optimizer import SompiOptimizer
 from repro.core.problem import OnDemandOption, Problem
 from repro.core.two_level import TwoLevelOptimizer, clear_shared_caches
-from repro.execution import artifacts, kernels
+from repro.execution import artifacts
 from repro.execution.artifacts import ARTIFACT_SUFFIX, ArtifactStore, get_store
 from repro.execution.batch_replay import replay_batch
 from repro.execution.montecarlo import sample_start_times
@@ -81,10 +81,8 @@ def _assert_same_plan(a, b):
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_shared_caches()
-    kernels.clear_table_cache()
     yield
     clear_shared_caches()
-    kernels.clear_table_cache()
 
 
 class TestStoreUnit:
@@ -207,6 +205,42 @@ class TestPlannerLifecycle:
                     list(path.parent.glob(f"*{ARTIFACT_SUFFIX}"))
                 )
 
+    def test_bundle_without_grids_rebuilds_only_the_grids(
+        self, tmp_path, monkeypatch
+    ):
+        """A bundle whose survival-grid columns are gone, checksum
+        intact, still gives the identical plan: its entries load, only
+        the grids are rebuilt, and the bundle is re-saved with them, so
+        the next cold process reads the grids back."""
+        problem, history = _problem_and_history()
+        cold = _plan(history, tmp_path, problem)
+        store = ArtifactStore(tmp_path)
+        (path,) = (store.root / "group_tables").rglob(f"*{ARTIFACT_SUFFIX}")
+        full = {k: v.copy() for k, v in store.load("group_tables", path.stem).items()}
+        stripped = {k: v for k, v in full.items() if "_surv_" not in k}
+        assert len(stripped) == len(full) - 2 * len(problem.groups)
+        assert store.save("group_tables", path.stem, stripped)
+
+        def no_entry_build(*args, **kwargs):
+            raise AssertionError("an entry was rebuilt, not loaded")
+
+        monkeypatch.setattr(TwoLevelOptimizer, "_build_entry", no_entry_build)
+        metrics = obs.get_metrics()
+        name = "cache.artifact_writes.group_tables"
+        clear_shared_caches()
+        writes = metrics.get(name)
+        _assert_same_plan(cold, _plan(history, tmp_path, problem))
+        assert metrics.get(name) == writes + 1  # re-saved with its grids
+        resaved = store.load("group_tables", path.stem)
+        assert set(resaved) == set(full)
+        for k, v in full.items():
+            assert resaved[k].dtype == v.dtype
+            assert resaved[k].tobytes() == v.tobytes()
+        # A fresh process reads the grids back: nothing to save.
+        clear_shared_caches()
+        _assert_same_plan(cold, _plan(history, tmp_path, problem))
+        assert metrics.get(name) == writes + 1
+
     def test_plan_invariant_under_cache_and_grid_config(
         self, tmp_path, monkeypatch
     ):
@@ -291,7 +325,7 @@ class TestContainerFaults:
         store = ArtifactStore(root)
         paths = list(root.rglob(f"*{ARTIFACT_SUFFIX}"))
         kinds = {p.relative_to(store.root).parts[0] for p in paths}
-        assert kinds == {"group_tables", "surv_grids", "search_sidecar"}
+        assert kinds == {"group_tables", "search_sidecar"}
         counter = {_damage(store, path, case) for path in paths}.pop()
 
         def counted():
@@ -404,35 +438,9 @@ class TestSearchSidecar:
         assert self._counts(*names)[2] == before[2] + 1
 
 
-class TestKernelTablesDiskTier:
-    def _big_trace(self):
-        n = kernels._STORE_MIN_SEGMENTS
-        rng = np.random.default_rng(42)
-        times = np.arange(n, dtype=np.float64) * 0.25
-        prices = 0.05 + 0.2 * rng.random(n)
-        return SpotPriceTrace(times, prices, float(n) * 0.25)
-
-    def test_roundtrip_is_bit_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(tmp_path))
-        trace = self._big_trace()
-        built = kernels.trace_tables(trace, 0.15)
-        assert list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))  # cold pass wrote the tier
-        kernels.clear_table_cache()
-        loaded = kernels.trace_tables(trace, 0.15)
-        for field in ("times", "times_ext", "below",
-                      "nxt_below_ext", "nxt_above_ext"):
-            a, b = getattr(built, field), getattr(loaded, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-    def test_small_traces_stay_memory_only(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(tmp_path))
-        kernels.trace_tables(SpotPriceTrace([0.0], [0.05], 10.0), 0.1)
-        assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
-
-
 def _kernel_problem():
-    """Two groups on traces long enough for the kernels' disk tier."""
-    n = kernels._STORE_MIN_SEGMENTS
+    """Two groups on random many-segment traces, planned and replayed."""
+    n = 256
     g1 = make_group(zone="us-east-1a", exec_time=8.0)
     g2 = make_group(zone="us-east-1b", exec_time=8.0)
     problem = Problem(
@@ -478,7 +486,7 @@ def _isolate_store_env(tmp_path, monkeypatch):
 
 class TestDiskOffSwitch:
     """``REPRO_ARTIFACT_DIR=""`` turns off every disk tier at once: the
-    planner's bundles and sidecar, and the kernels' trace/bid tables."""
+    planner's group-table bundles and its search sidecar."""
 
     def test_empty_env_writes_nothing_and_matches_warm_store(
         self, tmp_path, monkeypatch
@@ -492,8 +500,8 @@ class TestDiskOffSwitch:
         assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))
         assert _artifact_counters() == before  # no disk event counted
 
-        # The same run on a private store, cold (writes both planner and
-        # kernel artifacts) and then warm from disk.
+        # The same run on a private store, cold (writes both kinds) and
+        # then warm from disk.
         store_dir = tmp_path / "store"
         monkeypatch.setenv(artifacts.ARTIFACT_DIR_ENV, str(store_dir))
         clear_shared_caches()
@@ -503,11 +511,15 @@ class TestDiskOffSwitch:
             p.relative_to(root).parts[0]
             for p in store_dir.rglob(f"*{ARTIFACT_SUFFIX}")
         }
-        assert {"group_tables", "trace_bid"} <= kinds
+        assert kinds == {"group_tables", "search_sidecar"}
         clear_shared_caches()
-        hits = obs.get_metrics().get("cache.artifact_hits.trace_bid")
+        names = ("cache.artifact_hits.group_tables",
+                 "cache.artifact_hits.search_sidecar")
+        hits = [obs.get_metrics().get(name) for name in names]
         warm_plan, warm_runs = _plan_and_replay(problem, history, None)
-        assert obs.get_metrics().get("cache.artifact_hits.trace_bid") > hits
+        assert all(
+            obs.get_metrics().get(name) > hit for name, hit in zip(names, hits)
+        )
         _assert_same_plan(off_plan, warm_plan)
         assert off_runs == warm_runs  # exact, field by field
 
@@ -557,7 +569,7 @@ class TestWriteFaults:
         }
         prefix = "cache.artifact_write_errors."
         failed = {name[len(prefix):] for name in counted if name.startswith(prefix)}
-        assert {"group_tables", "trace_bid"} <= failed
+        assert failed == {"group_tables", "search_sidecar"}
         assert not any(n.startswith("cache.artifact_writes.") for n in counted)
         assert not list(tmp_path.rglob("*.tmp"))
         assert not list(tmp_path.rglob(f"*{ARTIFACT_SUFFIX}"))

@@ -41,7 +41,6 @@ from repro.core.two_level import clear_shared_caches
 from repro.errors import TraceError
 from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.batch_replay import replay_batch, replay_window_batch
-from repro.execution.kernels import table_cache_size
 from repro.execution.montecarlo import sample_start_times
 from repro.market.failure import FailureModel
 from repro.market.generator import RegimeSwitchingGenerator, SpotMarketParams
@@ -274,40 +273,6 @@ class TestCorrelatedParity:
             assert got.end_time == trace.end_time
 
 
-class TestTableCache:
-    def test_cache_on_off_parity_and_clearing(self):
-        """A cold table cache (just cleared) and a warm one (filled by
-        the cold replay) give bit-identical replays."""
-        problem, decision, h = spiky_setup(SEEDS[2])
-        starts = sample_start_times(
-            problem, decision, h, 8, np.random.default_rng(2)
-        )
-        clear_shared_caches()
-        assert table_cache_size() == 0
-        cold = replay_batch(problem, decision, h, starts)
-        filled = table_cache_size()
-        assert filled > 0
-        warm = replay_batch(problem, decision, h, starts)
-        assert table_cache_size() == filled  # served, not rebuilt
-        for a, b in zip(cold, warm):
-            assert_runs_equal(a, b, "table cache cold/warm")
-        clear_shared_caches()
-        assert table_cache_size() == 0
-
-    def test_tables_evicted_when_trace_collected(self):
-        clear_shared_caches()
-        from repro.execution.kernels import trace_tables
-
-        trace = SpotPriceTrace([0.0, 5.0], [0.05, 0.2], 50.0)
-        trace_tables(trace, 0.1)
-        assert table_cache_size() == 1
-        del trace
-        import gc
-
-        gc.collect()
-        assert table_cache_size() == 0
-
-
 class TestKernelOracleParity:
     """Each KERNEL_ORACLES entry exercised directly against its scalar.
 
@@ -320,6 +285,35 @@ class TestKernelOracleParity:
         return RegimeSwitchingGenerator(
             _SPIKY, np.random.default_rng(seed)
         ).generate(duration)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trace_tables_match_scalar_launch_and_death(self, seed):
+        """Launch and death times resolved through the (trace, bid)
+        tables, the way the replay kernels resolve them, equal the
+        scalar suffix scans; the ``+inf`` sentinel stands for ``None``."""
+        from repro.cloud.spot import first_at_or_below, first_exceedance
+        from repro.execution.kernels import trace_tables
+
+        trace = self._trace(seed)
+        prices, n = trace.prices, trace.prices.size
+        r = np.random.default_rng(seed + 6)
+        t0 = r.uniform(trace.start_time, trace.end_time, 200)
+        t0[:5] = trace.times[:5]  # queries exactly at change points
+        bids = [prices.min(), prices.max(),
+                *np.quantile(prices, [0.1, 0.5, 0.9])]
+        for bid in bids:
+            tb = trace_tables(trace, bid)
+            k = np.searchsorted(tb.times, t0, side="right") - 1
+            below_k = tb.below[k]
+            seg = np.where(below_k, k, tb.nxt_below_ext[np.minimum(k + 1, n)])
+            launch = np.where(below_k, t0, tb.times_ext[seg])
+            death = tb.times_ext[tb.nxt_above_ext[np.minimum(seg + 1, n)]]
+            for i in range(t0.size):
+                want = first_at_or_below(trace, bid, t0[i])
+                assert launch[i] == (np.inf if want is None else want), i
+                if want is not None:
+                    gone = first_exceedance(trace, bid, want)
+                    assert death[i] == (np.inf if gone is None else gone), i
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_integrate_price_fast_bitwise_equal(self, seed):

@@ -5,7 +5,7 @@ scalar code each kernel replaced, pinned by ``tests/test_batch_parity.py``.
 That contract is only as good as its coverage, so each kernel module
 declares ``KERNEL_ORACLES`` — every public function mapped to the dotted
 path of its scalar reference — and these tests hold every kernel module
-to it: each public function is mapped (the cache helpers named in
+to it: each public function is mapped (any plumbing named in
 :data:`NOT_KERNELS` excepted), each oracle path imports and resolves to
 a real object, and each kernel is exercised by name in the parity tests.
 ``TestOracleChecker`` pins the checker itself on synthetic modules, so a
@@ -30,10 +30,9 @@ KERNEL_MODULES = (
     "repro.market.correlated",
 )
 
-#: Public functions of kernel modules that are plumbing, not kernels.
-NOT_KERNELS = {
-    "repro.execution.kernels": frozenset({"clear_table_cache", "table_cache_size"}),
-}
+#: Public functions of kernel modules that are plumbing, not kernels
+#: (module name -> frozenset of function names).
+NOT_KERNELS: dict = {}
 
 TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = TESTS_DIR.parent / "src"

@@ -4,8 +4,9 @@ The contracts under test: parallel ``run_backtest`` is bit-identical to
 serial at any job count, sequential parallel backtests reuse one
 executor instead of respawning per call, a forked child never adopts
 its parent's shared pool, the pool works under the ``spawn`` start
-method (module-level entry points only), ``close()`` leaves no worker
-processes behind, and :func:`resolve_jobs` is the single authority for
+method (module-level entry points only), a worker dying mid-task
+surfaces as a typed error the pool recovers from, ``close()`` leaves
+no worker processes behind, and :func:`resolve_jobs` is the single authority for
 the worker-count decision.
 """
 
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import obs
 from repro.cloud.zones import Zone
 from repro.config import SompiConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.backtest import build_manifest, run_backtest
 from repro.execution.pool import (
     WorkerPool,
@@ -281,3 +283,31 @@ class TestTeardown:
         # A closed pool lazily respawns on the next submit.
         assert pool.submit(os.getpid).result() > 0
         pool.close()
+
+
+# ----------------------------------------------------------------------
+# A worker killed mid-task
+# ----------------------------------------------------------------------
+def _square_or_die(value: int, die_on: int) -> int:
+    """Square ``value``; the worker process exits on ``die_on``."""
+    if value == die_on:
+        os._exit(1)
+    return value * value
+
+
+class TestWorkerDeath:
+    def test_dying_task_raises_repro_error_and_pool_recovers(self):
+        pool = WorkerPool(1)
+        broken = obs.get_metrics().get("pool.broken")
+        try:
+            with pytest.raises(ReproError) as info:
+                pool.run_ordered(_square_or_die, [(v, 2) for v in range(4)])
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
+            assert obs.get_metrics().get("pool.broken") == broken + 1
+            assert not pool.spawned
+            # The same pool serves the next call with correct results.
+            assert pool.run_ordered(
+                _square_or_die, [(v, -1) for v in range(4)]
+            ) == [0, 1, 4, 9]
+        finally:
+            pool.close()
